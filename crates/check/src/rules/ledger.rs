@@ -13,10 +13,11 @@
 //! 2. every `LfError::<Variant>` mention in `crates/serve/src` names a
 //!    variant in the table (so a new variant shows up here the moment
 //!    serving code touches it);
-//! 3. `match`es whose body mentions `LfError` — in `engine.rs` and
-//!    `error.rs` — have no bare `_ =>` arm, so adding a variant is a
-//!    compile error at every classification point instead of a silent
-//!    fall-through.
+//! 3. `match`es whose body mentions `LfError` — in `error.rs` and the
+//!    serving engine's modules
+//!    ([`SERVE_ENGINE_FILES`](super::SERVE_ENGINE_FILES)) — have no bare
+//!    `_ =>` arm, so adding a variant is a compile error at every
+//!    classification point instead of a silent fall-through.
 
 use crate::lex::{next_code, Delim, TokKind};
 use crate::lint::{Finding, Rule, SourceFile, Workspace};
@@ -60,7 +61,7 @@ impl Rule for LedgerExhaustive {
             if f.path.starts_with("crates/serve/src/") {
                 check_mentions(self, f, out);
             }
-            if f.path == "crates/serve/src/engine.rs" {
+            if super::SERVE_ENGINE_FILES.contains(&f.path.as_str()) {
                 check_wildcards(self, f, out);
             }
         }

@@ -3,8 +3,8 @@
 //!
 //! The serving stack's deadlock-freedom argument (PR 5/6) is a total
 //! order: `BatchBoard.open` → `BatchGroup.state` → `JoinSlot.state`,
-//! with the matrix-handle `RwLock`, the cache shards, the plan store,
-//! and the planner's breaker map as *leaf* locks (nothing may be
+//! with the matrix-handle `RwLock`, the `PlanCache` shards (`cache.rs`),
+//! the plan store, and the planner's breaker map as *leaf* locks (nothing may be
 //! acquired while holding one), and the thread-pool job mutexes never
 //! nested under any serving lock. The bounded model checker proves
 //! specific interleavings; this rule proves the *shape*, statically,
@@ -173,6 +173,9 @@ fn classify(path: &str, impl_ty: Option<&str>, recv: &str) -> Option<LockClass> 
         return Some(SHARD);
     }
     match last {
+        // `PlanCache::shard(fp)`, the accessor every cache method locks
+        // its shard through.
+        "shard()" if path.starts_with("crates/serve/") => Some(SHARD),
         "open" if path.starts_with("crates/serve/") => Some(BOARD),
         "shared" if path.starts_with("crates/serve/") => Some(HANDLE),
         "failures" => Some(BREAKER),

@@ -20,6 +20,20 @@ pub mod unsafe_safety;
 
 use crate::lint::Rule;
 
+/// The serving engine's modules: ingress, routing and the group path
+/// (`engine.rs`), the coalescer (`batch.rs`), the plan cache
+/// (`cache.rs`), registered handles (`handle.rs`), and the config and
+/// report types. `panic-path` treats them as the request path, and
+/// `ledger-exhaustive` forbids wildcard error matches in them.
+pub const SERVE_ENGINE_FILES: [&str; 6] = [
+    "crates/serve/src/engine.rs",
+    "crates/serve/src/batch.rs",
+    "crates/serve/src/cache.rs",
+    "crates/serve/src/handle.rs",
+    "crates/serve/src/config.rs",
+    "crates/serve/src/stats.rs",
+];
+
 /// The full registry, in documentation order.
 pub fn default_rules() -> Vec<Box<dyn Rule>> {
     vec![

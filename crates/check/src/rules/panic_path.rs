@@ -6,9 +6,10 @@
 //! batch joiners; the engine's contract is that compose/execute panics
 //! are converted to `LfError::{Compose,Execute}Panicked` at the
 //! `catch_unwind` boundaries and everything else is infallible. This
-//! rule walks `crates/serve/src/engine.rs`, `crates/serve/src/batch.rs`
-//! (the request path) and `crates/kernels/src/**` (inner loops) and
-//! flags, outside test code:
+//! rule walks the serving engine's modules
+//! ([`SERVE_ENGINE_FILES`](super::SERVE_ENGINE_FILES): engine, coalescer,
+//! plan cache, handles — the request path) and `crates/kernels/src/**`
+//! (inner loops) and flags, outside test code:
 //!
 //! * `.unwrap()` / `.expect(…)` calls,
 //! * `panic!` / `unreachable!` / `todo!` / `unimplemented!` /
@@ -45,9 +46,7 @@ const PANIC_MACROS: [&str; 7] = [
 const NON_RECEIVER_KEYWORDS: [&str; 6] = ["return", "break", "in", "as", "else", "match"];
 
 fn in_scope(path: &str) -> bool {
-    path == "crates/serve/src/engine.rs"
-        || path == "crates/serve/src/batch.rs"
-        || path.starts_with("crates/kernels/src/")
+    super::SERVE_ENGINE_FILES.contains(&path) || path.starts_with("crates/kernels/src/")
 }
 
 impl Rule for PanicPath {

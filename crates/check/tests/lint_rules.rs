@@ -147,6 +147,44 @@ fn unshielded_unwrap_in_request_path_fires() {
 }
 
 #[test]
+fn unshielded_unwrap_in_the_plan_cache_fires() {
+    // The cache module is request path too: a lookup or admit that
+    // panics would poison a shard for every later request.
+    let text = include_str!("lint_fixtures/panic_path.rs");
+    let report = lint_one("crates/serve/src/cache.rs", text, true);
+    assert_fires(
+        &report,
+        "panic-path",
+        "crates/serve/src/cache.rs",
+        line_of(text, "slot.unwrap()"),
+    );
+}
+
+#[test]
+fn cache_shard_accessor_is_a_leaf() {
+    let text = include_str!("lint_fixtures/cache_shard_leaf.rs");
+    let report = lint_one("crates/serve/src/cache.rs", text, true);
+    assert_fires(
+        &report,
+        "lock-order",
+        "crates/serve/src/cache.rs",
+        line_of(text, "let open = lock(&board.open);"),
+    );
+    // Only the acquisition under the live guard: `admit_ok` drops it
+    // first.
+    assert_eq!(
+        report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "lock-order")
+            .count(),
+        1,
+        "unexpected lock-order findings: {:?}",
+        report.findings
+    );
+}
+
+#[test]
 fn mul_add_in_kernel_code_fires() {
     let text = include_str!("lint_fixtures/determinism.rs");
     let report = lint_one("crates/kernels/src/fixture.rs", text, true);

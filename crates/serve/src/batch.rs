@@ -7,12 +7,13 @@
 //! their dense operand, their cancel token, and a [`JoinSlot`] to wait
 //! on. When the window elapses — or the fused-width cap is reached,
 //! whichever comes first — the leader closes the group, runs **one**
-//! fused SpMM over the concatenated operands, and resolves every
-//! member's slot individually: each member keeps its own deadline
+//! fused SpMM over its own operand and the joiners', and resolves every
+//! joiner's slot individually: each member keeps its own deadline
 //! verdict, its own ledger class, and (after a fused panic) its own
 //! reference rescue. The engine half of the protocol lives in
-//! `engine.rs` (`serve_batched` / `run_batch`); this module owns the
-//! synchronization.
+//! `engine.rs`: `serve_coalesced` admits and closes, and the closed
+//! group runs through `serve_group`, the same code that serves a solo
+//! request as a group of one. This module owns the synchronization.
 //!
 //! Invariants:
 //!
@@ -23,53 +24,40 @@
 //!   the board and join while still holding the board lock, so no
 //!   member can ever be added to a closed group (and none is ever
 //!   dropped unresolved by a racing close).
-//! * The leader's own member entry is always **index 0** of the closed
-//!   member list (it created the group with itself inside).
-//! * Every closed member is eventually resolved: the normal path
+//! * The group holds only its **joiners**: the leader keeps its own
+//!   operand and token and gets its result as a return value, so it
+//!   needs no slot.
+//! * Every closed joiner is eventually resolved: the normal path
 //!   resolves each slot explicitly, and [`ResolveGuard`] backstops a
-//!   panicking leader by releasing the stragglers as
-//!   [`Resolution::Solo`].
+//!   panicking leader by dissolving the stragglers, which then run as
+//!   groups of one.
 
 use crate::fingerprint::Fingerprint;
+use crate::lock;
+use crate::stats::ServeOutcome;
 use lf_sim::cancel::CancelToken;
 use lf_sparse::{DenseMatrix, Scalar};
-use liteform_core::{LfError, PreprocessProfile};
+use liteform_core::LfResult;
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+/// How a group settled one member's request — a solo request's group
+/// of one included: its outcome (`serve_wall_s` is stamped at publish),
+/// or the typed error it failed with.
+pub(crate) type Resolution<T> = LfResult<ServeOutcome<T>>;
 
-/// How the coalescer settled one member's request.
-pub(crate) enum Resolution<T> {
-    /// The fused run (or this member's per-member rescue after a fused
-    /// panic) produced the member's result slice.
-    Served {
-        /// This member's columns of the fused product.
-        result: DenseMatrix<T>,
-        /// Whether the fused-width plan came from the cache.
-        hit: bool,
-        /// Whether the result came down the degradation ladder.
-        degraded: bool,
-        /// Compose instrumentation — `Some` only on the leader when the
-        /// fused plan was freshly composed.
-        compose: Option<PreprocessProfile>,
-    },
-    /// The member failed with a typed error (its own deadline fired, or
-    /// the fused execute panicked and its rescue failed too).
-    Failed(LfError),
-    /// The batch dissolved without serving this member (nobody joined,
-    /// a typed kernel error, or the leader unwound): run solo instead.
-    Solo,
-}
-
+// A slot is allocated once per joiner and holds at most one outcome:
+// boxing the large variant would only add an allocation.
+#[allow(clippy::large_enum_variant)]
 enum SlotState<T> {
     Waiting,
-    Resolved(Resolution<T>),
+    /// Settled by the leader: `None` when the group dissolved without
+    /// serving this member (a typed kernel error, a failed compose, or
+    /// the leader unwound).
+    Settled(Option<Resolution<T>>),
     /// The waiter gave up (backstop timeout) or already collected the
-    /// resolution; later resolves are dropped.
+    /// settlement; later settlements are dropped.
     Abandoned,
 }
 
@@ -91,32 +79,39 @@ impl<T> JoinSlot<T> {
     /// Deliver the member's resolution. First write wins; an abandoned
     /// slot swallows it silently.
     pub(crate) fn resolve(&self, r: Resolution<T>) {
+        self.settle(Some(r));
+    }
+
+    /// Release the member unserved: it runs as a group of one instead.
+    pub(crate) fn dissolve(&self) {
+        self.settle(None);
+    }
+
+    fn settle(&self, r: Option<Resolution<T>>) {
         let mut st = lock(&self.state);
         if matches!(*st, SlotState::Waiting) {
-            *st = SlotState::Resolved(r);
+            *st = SlotState::Settled(r);
             self.ready.notify_all();
         }
     }
 
-    /// Block until resolved. `backstop` is a liveness net only — leaders
-    /// always resolve their members (a [`ResolveGuard`] covers even a
-    /// panicking leader); should it ever fire, the member abandons the
-    /// slot and falls back to a solo run.
-    pub(crate) fn wait(&self, backstop: Duration) -> Resolution<T> {
+    /// Block until settled; `None` means the group dissolved. `backstop`
+    /// is a liveness net only — leaders always settle their members (a
+    /// [`ResolveGuard`] covers even a panicking leader); should it ever
+    /// fire, the member abandons the slot and runs as a group of one.
+    pub(crate) fn wait(&self, backstop: Duration) -> Option<Resolution<T>> {
         let deadline = Instant::now() + backstop;
         let mut st = lock(&self.state);
         loop {
-            if matches!(*st, SlotState::Resolved(_)) {
-                match std::mem::replace(&mut *st, SlotState::Abandoned) {
-                    SlotState::Resolved(r) => return r,
-                    // lf-lint: allow(panic-path): re-matches a state observed one line up under the same lock hold
-                    _ => unreachable!("state just observed Resolved"),
-                }
+            match std::mem::replace(&mut *st, SlotState::Abandoned) {
+                SlotState::Settled(r) => return r,
+                SlotState::Abandoned => return None,
+                SlotState::Waiting => *st = SlotState::Waiting,
             }
             let now = Instant::now();
             if now >= deadline {
                 *st = SlotState::Abandoned;
-                return Resolution::Solo;
+                return None;
             }
             let (guard, _) = self
                 .ready
@@ -127,8 +122,8 @@ impl<T> JoinSlot<T> {
     }
 }
 
-/// One coalesced request: the member's (cloned) dense operand, its
-/// cancel token, and the slot its thread waits on.
+/// One joiner: its (cloned) dense operand, its cancel token, and the
+/// slot its thread waits on.
 pub(crate) struct Member<T> {
     pub(crate) b: DenseMatrix<T>,
     pub(crate) token: Option<CancelToken>,
@@ -136,8 +131,9 @@ pub(crate) struct Member<T> {
 }
 
 struct GroupState<T> {
-    members: Vec<Member<T>>,
-    /// Sum of member widths, capped by the engine's `max_batch_j`.
+    joiners: Vec<Member<T>>,
+    /// Sum of member widths, the leader's included, capped by the
+    /// engine's `max_batch_j`.
     total_j: usize,
 }
 
@@ -174,16 +170,13 @@ impl<T> BatchGroup<T> {
 
 /// How the board admitted a request into the coalescer.
 pub(crate) enum Admission<T> {
-    /// This request opened the group and owns its execution.
-    Leader {
-        /// The group to park on and later close.
-        group: Arc<BatchGroup<T>>,
-        /// The leader's own member slot (index 0 of the closed group).
-        slot: Arc<JoinSlot<T>>,
-    },
+    /// This request opened the group — to park on, close, and
+    /// execute.
+    Leader(Arc<BatchGroup<T>>),
     /// This request joined an open group; wait on the slot.
     Joined(Arc<JoinSlot<T>>),
-    /// The open group had no room under the width cap: go solo now.
+    /// The open group had no room under the width cap: run as a group
+    /// of one now.
     Full,
 }
 
@@ -218,7 +211,7 @@ impl<T: Scalar> BatchBoard<T> {
                 }
                 let slot = JoinSlot::new();
                 st.total_j += b.cols();
-                st.members.push(Member {
+                st.joiners.push(Member {
                     b: b.clone(),
                     token: token.cloned(),
                     slot: Arc::clone(&slot),
@@ -229,26 +222,21 @@ impl<T: Scalar> BatchBoard<T> {
                 Admission::Joined(slot)
             }
             None => {
-                let slot = JoinSlot::new();
                 let group = Arc::new(BatchGroup {
                     state: Mutex::new(GroupState {
-                        members: vec![Member {
-                            b: b.clone(),
-                            token: token.cloned(),
-                            slot: Arc::clone(&slot),
-                        }],
+                        joiners: Vec::new(),
                         total_j: b.cols(),
                     }),
                     full: Condvar::new(),
                 });
                 open.insert(*fp, Arc::clone(&group));
-                Admission::Leader { group, slot }
+                Admission::Leader(group)
             }
         }
     }
 
     /// Close a group: atomically (under the board lock) unhook it from
-    /// the board and take its members. After this returns no request can
+    /// the board and take its joiners. After this returns no request can
     /// join it — joiners only reach a group through the board, and they
     /// join while still holding the board lock.
     pub(crate) fn close(&self, fp: &Fingerprint, group: &Arc<BatchGroup<T>>) -> Vec<Member<T>> {
@@ -258,7 +246,7 @@ impl<T: Scalar> BatchBoard<T> {
         }
         let mut st = lock(&group.state);
         st.total_j = 0;
-        std::mem::take(&mut st.members)
+        std::mem::take(&mut st.joiners)
     }
 
     /// The pre-PR-6 close order, kept (unused) as the lock-order rule's
@@ -282,13 +270,13 @@ impl<T: Scalar> BatchBoard<T> {
             open.remove(fp);
         }
         st.total_j = 0;
-        std::mem::take(&mut st.members)
+        std::mem::take(&mut st.joiners)
     }
 }
 
-/// Drop guard over a closed group's members: any slot still unresolved
-/// when the guard drops is released as [`Resolution::Solo`], so members
-/// can never hang on a leader that unwound mid-batch.
+/// Drop guard over a closed group's joiners: any slot still unsettled
+/// when the guard drops is dissolved, so members can never hang on a
+/// leader that unwound mid-batch.
 pub(crate) struct ResolveGuard<'a, T> {
     members: &'a [Member<T>],
 }
@@ -302,7 +290,7 @@ impl<'a, T> ResolveGuard<'a, T> {
 impl<T> Drop for ResolveGuard<'_, T> {
     fn drop(&mut self) {
         for m in self.members {
-            m.slot.resolve(Resolution::Solo);
+            m.slot.dissolve();
         }
     }
 }
@@ -310,6 +298,7 @@ impl<T> Drop for ResolveGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use liteform_core::LfError;
 
     fn fp(tag: u64) -> Fingerprint {
         let csr = lf_sparse::CsrMatrix::<f64>::from_raw_unchecked(
@@ -330,25 +319,24 @@ mod tests {
     fn leader_then_joiners_then_close_takes_all_members_in_order() {
         let board = BatchBoard::<f64>::new();
         let f = fp(1);
-        let Admission::Leader { group, slot } = board.admit(&f, &b(8), None, 64) else {
+        let Admission::Leader(group) = board.admit(&f, &b(8), None, 64) else {
             panic!("first arrival must lead");
         };
         assert!(matches!(
-            board.admit(&f, &b(8), None, 64),
+            board.admit(&f, &b(3), None, 64),
             Admission::Joined(_)
         ));
         assert!(matches!(
-            board.admit(&f, &b(8), None, 64),
+            board.admit(&f, &b(5), None, 64),
             Admission::Joined(_)
         ));
-        let members = board.close(&f, &group);
-        assert_eq!(members.len(), 3);
-        assert_eq!(members[0].b.cols(), 8, "leader is member 0");
-        assert!(Arc::ptr_eq(&members[0].slot, &slot));
+        let joiners = board.close(&f, &group);
+        let widths: Vec<usize> = joiners.iter().map(|m| m.b.cols()).collect();
+        assert_eq!(widths, [3, 5], "only the joiners, in arrival order");
         // After close the board is empty: the next arrival leads anew.
         assert!(matches!(
             board.admit(&f, &b(8), None, 64),
-            Admission::Leader { .. }
+            Admission::Leader(_)
         ));
     }
 
@@ -356,7 +344,7 @@ mod tests {
     fn width_cap_turns_joiners_away_and_wakes_the_leader_early() {
         let board = BatchBoard::<f64>::new();
         let f = fp(2);
-        let Admission::Leader { group, .. } = board.admit(&f, &b(8), None, 16) else {
+        let Admission::Leader(group) = board.admit(&f, &b(8), None, 16) else {
             panic!("first arrival must lead");
         };
         assert!(matches!(
@@ -375,7 +363,7 @@ mod tests {
         let t0 = Instant::now();
         group.await_window(Duration::from_secs(10), 16);
         assert!(t0.elapsed() < Duration::from_secs(5), "cap must short-cut");
-        assert_eq!(board.close(&f, &group).len(), 3);
+        assert_eq!(board.close(&f, &group).len(), 2);
     }
 
     #[test]
@@ -383,23 +371,21 @@ mod tests {
         let board = BatchBoard::<f64>::new();
         assert!(matches!(
             board.admit(&fp(3), &b(4), None, 64),
-            Admission::Leader { .. }
+            Admission::Leader(_)
         ));
         assert!(matches!(
             board.admit(&fp(4), &b(4), None, 64),
-            Admission::Leader { .. }
+            Admission::Leader(_)
         ));
     }
 
     #[test]
     fn slot_resolve_then_wait_returns_and_first_write_wins() {
         let slot = JoinSlot::<f64>::new();
-        slot.resolve(Resolution::Failed(LfError::DeadlineExceeded {
-            stage: "execute",
-        }));
-        slot.resolve(Resolution::Solo); // dropped: first write wins
+        slot.resolve(Err(LfError::DeadlineExceeded { stage: "execute" }));
+        slot.dissolve(); // dropped: first write wins
         match slot.wait(Duration::from_secs(1)) {
-            Resolution::Failed(LfError::DeadlineExceeded { stage }) => {
+            Some(Err(LfError::DeadlineExceeded { stage })) => {
                 assert_eq!(stage, "execute")
             }
             _ => panic!("first resolution must win"),
@@ -410,18 +396,16 @@ mod tests {
     fn wait_backstop_abandons_and_falls_back_to_solo() {
         let slot = JoinSlot::<f64>::new();
         let t0 = Instant::now();
-        assert!(matches!(
-            slot.wait(Duration::from_millis(20)),
-            Resolution::Solo
-        ));
+        assert!(slot.wait(Duration::from_millis(20)).is_none());
         assert!(t0.elapsed() >= Duration::from_millis(20));
-        // A resolution arriving after abandonment is swallowed, not
+        // A settlement arriving after abandonment is swallowed, not
         // delivered to a second wait.
-        slot.resolve(Resolution::Solo);
+        slot.dissolve();
+        assert!(slot.wait(Duration::from_millis(1)).is_none());
     }
 
     #[test]
-    fn resolve_guard_releases_unresolved_members_as_solo() {
+    fn resolve_guard_dissolves_unsettled_members() {
         let members: Vec<Member<f64>> = (0..3)
             .map(|_| Member {
                 b: b(2),
@@ -429,24 +413,21 @@ mod tests {
                 slot: JoinSlot::new(),
             })
             .collect();
-        members[1].slot.resolve(Resolution::Served {
+        members[1].slot.resolve(Ok(ServeOutcome {
             result: b(2),
             hit: true,
             degraded: false,
+            fingerprint: fp(5),
             compose: None,
-        });
+            serve_wall_s: 0.0,
+            batched: true,
+        }));
         drop(ResolveGuard::new(&members));
-        assert!(matches!(
-            members[0].slot.wait(Duration::from_secs(1)),
-            Resolution::Solo
-        ));
+        assert!(members[0].slot.wait(Duration::from_secs(1)).is_none());
         assert!(matches!(
             members[1].slot.wait(Duration::from_secs(1)),
-            Resolution::Served { .. }
+            Some(Ok(_))
         ));
-        assert!(matches!(
-            members[2].slot.wait(Duration::from_secs(1)),
-            Resolution::Solo
-        ));
+        assert!(members[2].slot.wait(Duration::from_secs(1)).is_none());
     }
 }

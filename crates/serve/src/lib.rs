@@ -17,11 +17,16 @@
 //!   [`FixedCellPlanner`] for pinned configurations, or
 //!   [`ResilientPlanner`] wrapping either with a per-matrix circuit
 //!   breaker and graceful degradation to the baseline CSR format;
-//! * [`ServeEngine`] — concurrent requests (`matrix handle or CSR
-//!   payload`, dense `B`), a sharded LRU of
-//!   [`PreparedPlan`]s keyed by `(fingerprint, j)` under a configurable
-//!   byte budget, and a disjoint outcome ledger
+//! * [`ServeEngine`] — concurrent requests ([`MatrixHandle`] or CSR
+//!   payload, dense `B`) served through one path: a solo request is a
+//!   group of one, a coalesced batch a larger group, and each group
+//!   resolves one plan, executes it once, and settles every member by
+//!   its own deadline; plus a disjoint outcome ledger
 //!   (hit/miss/rejected/degraded/failed, [`ServeStats`]);
+//! * the plan cache behind it — a sharded LRU of [`PreparedPlan`]s
+//!   keyed by `(fingerprint, j)` under a configurable byte budget, with
+//!   an optional crash-safe disk tier ([`PlanStore`]) that evicted plans
+//!   demote to and restarts warm from;
 //! * **fault isolation** (DESIGN.md §10) — strict input validation with
 //!   typed [`LfError`](liteform_core::LfError) rejections, per-request
 //!   `catch_unwind` containment, poisoned-plan quarantine, cooperative
@@ -48,10 +53,22 @@
 //! [`PreparedPlan`]: liteform_core::PreparedPlan
 
 pub(crate) mod batch;
+pub(crate) mod cache;
+mod config;
 pub mod engine;
 pub mod fingerprint;
+mod handle;
 pub mod planner;
+mod stats;
 pub mod store;
+
+/// Lock a serving mutex, recovering the guard if a panicking holder
+/// poisoned it. Sound for every lock in this crate: each update to the
+/// data they guard leaves it valid at every step (a panic mid-request is
+/// contained per request, DESIGN.md §10, and must not wedge the engine).
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
 
 pub use engine::{
     AppliedDelta, MatrixHandle, ServeConfig, ServeEngine, ServeOutcome, ServeStats, UpdateOutcome,

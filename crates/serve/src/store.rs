@@ -37,6 +37,7 @@
 //! [`Placement`] in the serve config.
 
 use crate::fingerprint::Fingerprint;
+use crate::lock;
 use lf_sim::atomicf::AtomicScalar;
 use liteform_core::codec::{self, ByteReader, ByteWriter, CodecError};
 use liteform_core::{LfError, LfResult, PreparedPlan};
@@ -46,7 +47,7 @@ use std::fs;
 use std::io::Write;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 
 /// Record-file magic: "LFPR" (LiteForm Plan Record).
 const RECORD_MAGIC: [u8; 4] = *b"LFPR";
@@ -183,10 +184,6 @@ pub struct PlanStore<T: AtomicScalar> {
     /// counted, so the warm path can report them as rejections.
     swept_corrupt: usize,
     _scalar: PhantomData<fn() -> T>,
-}
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn io_err(what: &str, e: std::io::Error) -> LfError {

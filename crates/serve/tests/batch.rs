@@ -6,8 +6,9 @@
 use lf_serve::{FixedCellPlanner, MatrixHandle, Planner, ServeConfig, ServeEngine};
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
-use liteform_core::{LfResult, PreparedPlan, PreprocessProfile};
+use liteform_core::{LfError, LfResult, PreparedPlan, PreprocessProfile};
 use std::sync::{Arc, Barrier, Mutex};
+use std::time::Duration;
 
 fn matrix(seed: u64, n: usize, nnz: usize) -> CsrMatrix<f64> {
     let mut rng = Pcg32::seed_from_u64(seed);
@@ -282,6 +283,82 @@ fn fused_execute_rekeys_and_retunes_the_plan_at_the_fused_width() {
         widths.lock().unwrap()[before..],
         [8],
         "the narrow request composes at its own width"
+    );
+}
+
+/// Records every width it is asked to compose, then sleeps past the
+/// members' deadlines before composing.
+struct SlowPlanner {
+    inner: FixedCellPlanner,
+    delay: Duration,
+    widths: Arc<Mutex<Vec<usize>>>,
+}
+
+impl Planner<f64> for SlowPlanner {
+    fn prepare(&self, csr: &CsrMatrix<f64>, j: usize) -> LfResult<PreparedPlan<f64>> {
+        self.widths.lock().unwrap().push(j);
+        std::thread::sleep(self.delay);
+        Planner::<f64>::prepare(&self.inner, csr, j)
+    }
+
+    fn name(&self) -> &'static str {
+        "slow"
+    }
+}
+
+#[test]
+fn fused_compose_runs_under_the_group_token() {
+    // Both members' deadlines fire while the leader composes the fused
+    // plan. The compose runs under the group token, as a solo compose
+    // runs under its request's token: each member fails on its own
+    // deadline, and the late plan is dropped rather than cached.
+    let n = 128;
+    let handle = MatrixHandle::new(matrix(17, n, 2000)).unwrap();
+    let widths = Arc::new(Mutex::new(Vec::new()));
+    let planner = SlowPlanner {
+        inner: FixedCellPlanner::tuned(4),
+        delay: Duration::from_millis(700),
+        widths: Arc::clone(&widths),
+    };
+    // Two J=4 members fill the J=8 cap, closing the window at once.
+    let engine = ServeEngine::new(
+        planner,
+        ServeConfig {
+            deadline_ms: Some(500),
+            ..batching_config(200_000, 8)
+        },
+    );
+    let barrier = Barrier::new(2);
+    std::thread::scope(|scope| {
+        for t in 0..2u64 {
+            let (engine, handle, barrier) = (&engine, &handle, &barrier);
+            scope.spawn(move || {
+                let mut rng = Pcg32::seed_from_u64(0xF0 + t);
+                let b = DenseMatrix::random(n, 4, &mut rng);
+                barrier.wait();
+                let err = engine.serve_handle(handle, &b).unwrap_err();
+                assert!(
+                    matches!(err, LfError::DeadlineExceeded { .. }),
+                    "member {t}: {err}"
+                );
+            });
+        }
+    });
+    assert_eq!(
+        *widths.lock().unwrap(),
+        [8],
+        "one fused compose; the dissolved joiner fails before composing"
+    );
+    let s = engine.stats();
+    assert_eq!(s.failed, 2, "{s:?}");
+    assert_eq!(
+        s.cached_plans, 0,
+        "a plan composed past every deadline is not cached: {s:?}"
+    );
+    assert_eq!(
+        s.requests(),
+        s.hits + s.misses + s.rejected + s.degraded + s.failed,
+        "ledger identity: {s:?}"
     );
 }
 

@@ -1,13 +1,13 @@
 //! Model-checked verification of the poisoned-plan quarantine protocol.
 //!
 //! When a cached plan panics mid-execution, `ServeEngine` poisons its
-//! slot and evicts it — and the protocol promises (engine.rs): the
-//! eviction happens **exactly once** no matter how many concurrent
-//! requests were running the plan, every holder comes back with a typed
-//! error or a degraded result (never a hang), a poisoned slot is never
-//! served again, and a *fresh* plan re-admitted under the same key is
-//! never collateral damage of a stale quarantine (the `Arc::ptr_eq`
-//! identity guard).
+//! slot and evicts it — and the protocol promises (`PlanCache::quarantine`
+//! in cache.rs): the eviction happens **exactly once** no matter how
+//! many concurrent requests were running the plan, every holder comes
+//! back with a typed error or a degraded result (never a hang), a
+//! poisoned slot is never served again, and a *fresh* plan re-admitted
+//! under the same key is never collateral damage of a stale quarantine
+//! (the `Arc::ptr_eq` identity guard).
 //!
 //! This test re-states the protocol over `lf-check`'s instrumented
 //! primitives and explores every bounded interleaving:

@@ -12,7 +12,9 @@
 //! plan is process-global, so every test here serializes on one gate.
 
 use lf_serve::Fingerprint;
-use lf_serve::{FixedCellPlanner, Placement, PlanStore, ServeConfig, ServeEngine, StoreConfig};
+use lf_serve::{
+    FixedCellPlanner, Placement, PlanStore, Planner, ServeConfig, ServeEngine, StoreConfig,
+};
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
 use liteform_core::{LfError, PreparedPlan, PreprocessProfile};
@@ -32,10 +34,6 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 fn matrix(seed: u64) -> CsrMatrix<f64> {
     let mut rng = Pcg32::seed_from_u64(seed);
     CsrMatrix::from_coo(&mixed_regions(128, 128, 2500, 4, &mut rng))
-}
-
-fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
 }
 
 /// A fresh scratch directory under the target-adjacent temp root.
@@ -65,6 +63,40 @@ fn plan_bytes() -> usize {
     probe.stats().cached_bytes
 }
 
+/// Assert the record `dir` holds for `(a, j = 8)` — read through a fresh
+/// store handle, so it passes full validation — is bitwise the plan a
+/// fresh compose builds.
+///
+/// Multi-partition CELL buckets flush through atomics in pool scheduling
+/// order, so two runs of one plan agree only to rounding: this suite
+/// checks its bitwise guarantees on plans, and served products against
+/// the reference at 1e-9.
+fn assert_stored_plan_is_fresh(dir: &Path, a: &CsrMatrix<f64>, what: &str) {
+    let store: PlanStore<f64> = PlanStore::open(StoreConfig {
+        dir: dir.to_path_buf(),
+        disk_budget_bytes: 0,
+        placement: Placement::CostAware,
+    })
+    .unwrap();
+    let (stored, _) = store
+        .get(&Fingerprint::of_csr(a), 8)
+        .unwrap()
+        .unwrap_or_else(|| panic!("{what}: no record on disk"));
+    let fresh = Planner::<f64>::prepare(&FixedCellPlanner::tuned(4), a, 8).unwrap();
+    assert!(stored.cell().is_some(), "{what}: a CELL plan");
+    assert_eq!(
+        stored.cell(),
+        fresh.cell(),
+        "{what}: stored plan differs from a fresh compose"
+    );
+}
+
+/// Assert a served product matches the reference.
+fn assert_reference(got: &DenseMatrix<f64>, a: &CsrMatrix<f64>, b: &DenseMatrix<f64>, what: &str) {
+    let want = a.spmm_reference(b).unwrap();
+    assert!(got.approx_eq(&want, 1e-9), "{what}: wrong product");
+}
+
 #[test]
 fn snapshot_then_restart_serves_identical_bits_from_a_warm_cache() {
     let _g = locked();
@@ -73,13 +105,10 @@ fn snapshot_then_restart_serves_identical_bits_from_a_warm_cache() {
     let b = DenseMatrix::random(128, 8, &mut rng);
 
     let seeds = [1u64, 2, 3, 4];
-    let mut cold_bits = Vec::new();
     {
         let a_engine = engine(store_config(&dir));
         for &s in &seeds {
-            let out = a_engine.serve(&matrix(s), &b).unwrap();
-            assert!(!out.hit);
-            cold_bits.push(bits(&out.result));
+            assert!(!a_engine.serve(&matrix(s), &b).unwrap().hit);
         }
         let written = a_engine.snapshot().unwrap();
         assert_eq!(written, seeds.len(), "every cached plan is snapshot");
@@ -94,15 +123,12 @@ fn snapshot_then_restart_serves_identical_bits_from_a_warm_cache() {
         "restart warms every snapshot record: {s:?}"
     );
     assert_eq!(s.warm_rejected, 0, "{s:?}");
-    for (&seed, cold) in seeds.iter().zip(&cold_bits) {
-        let out = b_engine.serve(&matrix(seed), &b).unwrap();
+    for &seed in &seeds {
+        let a = matrix(seed);
+        let out = b_engine.serve(&a, &b).unwrap();
         assert!(out.hit, "warmed plan must hit without recomposing");
         assert!(out.compose.is_none());
-        assert_eq!(
-            &bits(&out.result),
-            cold,
-            "seed {seed}: warmed plan served different bits than its own cold compose"
-        );
+        assert_reference(&out.result, &a, &b, &format!("seed {seed}"));
     }
     let s = b_engine.stats();
     assert_eq!(s.hits as usize, seeds.len());
@@ -111,6 +137,12 @@ fn snapshot_then_restart_serves_identical_bits_from_a_warm_cache() {
         s.requests(),
         s.hits + s.misses + s.rejected + s.degraded + s.failed
     );
+    // Write the warmed plans back: each is bitwise the plan its own
+    // cold compose builds.
+    assert_eq!(b_engine.snapshot().unwrap(), seeds.len());
+    for &seed in &seeds {
+        assert_stored_plan_is_fresh(&dir, &matrix(seed), &format!("seed {seed}"));
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -130,8 +162,7 @@ fn demoted_then_promoted_plan_is_bitwise_identical_to_its_pre_demotion_self() {
     let b = DenseMatrix::random(128, 8, &mut rng);
     let (m1, m2) = (matrix(10), matrix(11));
 
-    let before = e.serve(&m1, &b).unwrap();
-    assert!(!before.hit);
+    assert!(!e.serve(&m1, &b).unwrap().hit);
     assert!(!e.serve(&m2, &b).unwrap().hit);
     let s = e.stats();
     assert!(s.evictions >= 1, "{s:?}");
@@ -141,11 +172,7 @@ fn demoted_then_promoted_plan_is_bitwise_identical_to_its_pre_demotion_self() {
     let after = e.serve(&m1, &b).unwrap();
     assert!(after.hit, "promotion counts as a hit");
     assert!(after.compose.is_none(), "promotion does not recompose");
-    assert_eq!(
-        bits(&after.result),
-        bits(&before.result),
-        "demote→promote round trip changed served bits"
-    );
+    assert_reference(&after.result, &m1, &b, "promoted plan");
     let s = e.stats();
     assert_eq!(s.disk_hits, 1, "{s:?}");
     assert_eq!(s.promotions, 1, "{s:?}");
@@ -154,6 +181,9 @@ fn demoted_then_promoted_plan_is_bitwise_identical_to_its_pre_demotion_self() {
         s.requests(),
         s.hits + s.misses + s.rejected + s.degraded + s.failed
     );
+    // The promoted plan, written back, is bitwise its pre-demotion self.
+    e.snapshot().unwrap();
+    assert_stored_plan_is_fresh(&dir, &m1, "demote→promote round trip");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -341,7 +371,6 @@ mod kill_points {
         let mut rng = Pcg32::seed_from_u64(0x1D1E);
         let b = DenseMatrix::random(128, 8, &mut rng);
         let (m1, m2) = (matrix(60), matrix(61));
-        let want1 = m1.spmm_reference(&b).unwrap();
 
         chaos::install(always(ChaosSite::DemoteTorn));
         {
@@ -380,11 +409,7 @@ mod kill_points {
             .all(|e| !e.file_name().to_string_lossy().ends_with(".tmp"));
         assert!(no_tmp, "recovery sweeps torn temp files");
         let out = e.serve(&m1, &b).unwrap();
-        assert_eq!(
-            bits(&out.result),
-            bits(&want1),
-            "recovered engine served wrong bytes"
-        );
+        assert_reference(&out.result, &m1, &b, "recovered engine");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -396,17 +421,16 @@ mod kill_points {
         let b = DenseMatrix::random(128, 8, &mut rng);
         let a = matrix(62);
 
-        let cold = {
+        {
             let e = engine(store_config(&dir));
-            let cold = e.serve(&a, &b).unwrap();
+            e.serve(&a, &b).unwrap();
             // The record commits; the manifest rewrite right after it
             // tears. snapshot must report the failure...
             chaos::install(always(ChaosSite::ManifestTorn));
             let res = e.snapshot();
             chaos::reset();
             assert!(res.is_err(), "torn manifest write must surface");
-            cold
-        }; // "kill" between record rename and manifest publish
+        } // "kill" between record rename and manifest publish
 
         // ...but the record itself is durable: the manifest is advisory
         // and directory scan is ground truth, so recovery still warms
@@ -417,11 +441,8 @@ mod kill_points {
         assert_eq!(s.warm_rejected, 0, "{s:?}");
         let out = e.serve(&a, &b).unwrap();
         assert!(out.hit, "recovered record must serve as a hit");
-        assert_eq!(
-            bits(&out.result),
-            bits(&cold.result),
-            "recovered record served different bits than the cold compose"
-        );
+        assert_reference(&out.result, &a, &b, "recovered record");
+        assert_stored_plan_is_fresh(&dir, &a, "recovered record");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -432,11 +453,10 @@ mod kill_points {
         let mut rng = Pcg32::seed_from_u64(0x3D3E);
         let b = DenseMatrix::random(128, 8, &mut rng);
         let seeds = [70u64, 71, 72];
-        let mut cold_bits = Vec::new();
         {
             let e = engine(store_config(&dir));
             for &s in &seeds {
-                cold_bits.push(bits(&e.serve(&matrix(s), &b).unwrap().result));
+                e.serve(&matrix(s), &b).unwrap();
             }
             assert_eq!(e.snapshot().unwrap(), seeds.len());
         }
@@ -450,14 +470,12 @@ mod kill_points {
 
         // Every request still lands on the right bytes: the disk tier
         // answers on the miss path (promotion), not just at warm.
-        for (&seed, cold) in seeds.iter().zip(&cold_bits) {
+        for &seed in &seeds {
             let out = e.serve(&matrix(seed), &b).unwrap();
             assert!(out.hit, "seed {seed}: disk promotion must hit");
-            assert_eq!(
-                &bits(&out.result),
-                cold,
-                "seed {seed}: promoted plan diverged from its cold compose"
-            );
+            let what = format!("seed {seed}: promoted plan");
+            assert_reference(&out.result, &matrix(seed), &b, &what);
+            assert_stored_plan_is_fresh(&dir, &matrix(seed), &what);
         }
         let s = e.stats();
         assert_eq!(s.disk_hits as usize, seeds.len(), "{s:?}");
