@@ -1,10 +1,12 @@
 //! SpMM execution-engine benchmark: per-kernel numeric throughput on this
-//! host, with the CELL kernel measured on both the pre-engine path
+//! host, with the CELL kernel measured on the pre-engine path
 //! (`run_legacy`: one scoped spawn/join per bucket, per-row heap
-//! accumulator, atomics everywhere) and the pooled engine path (`run`),
-//! plus a three-way engine comparison per kernel: forced-scalar lanes
-//! (the pre-SIMD loop shapes) vs the SIMD gather microkernels at the
-//! default tile vs SIMD at the cost-model-tuned tile (`plan_tile`).
+//! accumulator, atomics everywhere), the pooled engine path (`run`: row
+//! bands, no atomics) and its CAS-flushing oracle (`run_forced_atomic`:
+//! the bucket-chunk work queue, every row through `atomic_add`), plus a
+//! three-way engine comparison per kernel: forced-scalar lanes (the
+//! pre-SIMD loop shapes) vs the SIMD gather microkernels at the default
+//! tile vs SIMD at the cost-model-tuned tile (`plan_tile`).
 //!
 //! All three engines are measured **in-process on the same operand**, so
 //! the ratios are free of the cross-run variance this host shows on
@@ -54,6 +56,9 @@ struct CellComparison {
     partitions: usize,
     legacy_ms: f64,
     engine_ms: f64,
+    /// `run_forced_atomic` on the same operand: what `run` would cost
+    /// with Algorithm 2's atomic flushes.
+    forced_atomic_ms: f64,
     speedup: f64,
 }
 
@@ -165,7 +170,13 @@ fn main() {
         .collect();
     let mut cell_rows = Vec::new();
     let mut speedups = Vec::new();
-    let mut ct = Table::new(&["cell", "legacy_ms", "engine_ms", "speedup"]);
+    let mut ct = Table::new(&[
+        "cell",
+        "legacy_ms",
+        "engine_ms",
+        "forced_atomic_ms",
+        "speedup",
+    ]);
     for (p, k) in &cell_kernels {
         let legacy_ms = time_ms(reps, || {
             k.run_legacy(&b).unwrap();
@@ -173,11 +184,15 @@ fn main() {
         let engine_ms = time_ms(reps, || {
             k.run(&b).unwrap();
         });
+        let forced_atomic_ms = time_ms(reps, || {
+            k.run_forced_atomic(&b).unwrap();
+        });
         let speedup = legacy_ms / engine_ms;
         ct.row(&[
             format!("p={p}"),
             fmt(legacy_ms),
             fmt(engine_ms),
+            fmt(forced_atomic_ms),
             fmt(speedup),
         ]);
         kernel_times.push(KernelTime {
@@ -188,6 +203,7 @@ fn main() {
             partitions: *p,
             legacy_ms,
             engine_ms,
+            forced_atomic_ms,
             speedup,
         });
         speedups.push(speedup);

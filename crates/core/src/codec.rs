@@ -527,7 +527,7 @@ pub fn decode_plan<T: AtomicScalar>(bytes: &[u8]) -> Result<PreparedPlan<T>, Cod
             let cell = decode_cell::<T>(&mut r, rows, cols, nnz, config.clone())?;
             PreparedKernel::Cell {
                 config,
-                kernel: CellKernel::new(cell).with_tile(tile),
+                kernel: CellKernel::tiled(cell, tile),
             }
         }
         KIND_CSR => {

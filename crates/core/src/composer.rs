@@ -83,7 +83,7 @@ impl<T: AtomicScalar> CompositionPlan<T> {
         let kernel = match self.kind {
             PlanKind::Cell { config, cell } => PreparedKernel::Cell {
                 config,
-                kernel: CellKernel::new(cell).with_tile(tile),
+                kernel: CellKernel::tiled(cell, tile),
             },
             PlanKind::FixedCsr => {
                 PreparedKernel::FixedCsr(CsrVectorKernel::new(csr.clone()).with_tile(tile))
@@ -155,7 +155,7 @@ impl<T: AtomicScalar> PreparedPlan<T> {
         PreparedPlan {
             kernel: PreparedKernel::Cell {
                 config,
-                kernel: CellKernel::new(cell).with_tile(tile),
+                kernel: CellKernel::tiled(cell, tile),
             },
             tuned_j: 0,
             features,
@@ -286,10 +286,11 @@ impl<T: AtomicScalar> PreparedPlan<T> {
     ///
     /// Each output column sees exactly the accumulation it would see in
     /// a solo [`PreparedPlan::run`]: fusing changes which columns ride
-    /// along in the same pass, never a column's own reduction, so on
-    /// single-writer (non-atomic) paths the scattered outputs are
-    /// bitwise identical to solo runs. Atomic multi-partition paths stay
-    /// as order-nondeterministic as their solo runs already are.
+    /// along in the same pass, never a column's own reduction. Both
+    /// kernels give every output row a single writer that sums in
+    /// ascending column order (CELL through its row bands, on every
+    /// partition count and folding cap), so the scattered outputs are
+    /// bitwise identical to solo runs — and to `spmm_reference`.
     ///
     /// Note the plan's bucket widths are only optimal near
     /// [`PreparedPlan::tuned_j`]; callers fusing at a much larger total

@@ -13,27 +13,37 @@
 //! * launches all buckets of all partitions as **one fused launch**,
 //!   mirroring the horizontal-fusion pass SparseTIR inserts (§6).
 //!
-//! The numeric path runs on the shared execution engine: all
-//! `(partition, bucket, row-chunk)` work items are flattened into **one**
-//! parallel region over the persistent worker pool (no per-bucket
-//! spawn/join barriers), each worker reuses one accumulator scratch for
-//! every row it processes (j-tiled to stay cache-resident), and buckets
-//! with single-writer rows (`needs_atomic == false`) flush with plain
-//! stores instead of CAS loops.
+//! The numeric path runs on the shared execution engine, but it does
+//! not copy line 9's atomics: GPU thread blocks cannot share a row, CPU
+//! work items can simply *own* one. Output rows are cut into **row
+//! bands** (contiguous row ranges of about `chunk_slots` stored slots);
+//! one work item owns a band and walks its `(partition, bucket,
+//! bucket-row range)` segments in partition-major order, accumulating
+//! straight into its own `C` rows — no CAS, no scratch accumulator, no
+//! flush pass. Bucket `row_ind` is ascending and a folded row's
+//! fragments sit in column order in its partition's cap bucket, so every
+//! `C[r][s]` sums its products in ascending CSR column order: the result
+//! is **bitwise-equal** to `CsrMatrix::spmm_reference` for every worker
+//! count, tile and partition count. The band schedule is built once,
+//! when the kernel's tile is bound. `needs_atomic` still drives the
+//! analytic model ([`SpmmKernel::launches`]) exactly as Algorithm 2
+//! does, and [`CellKernel::run_forced_atomic`] keeps a CAS-flushing
+//! oracle path.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, Lanes, TileParams};
+use crate::simd::{Gather, TileParams};
 use crate::SpmmKernel;
 use lf_cell::{Bucket, CellMatrix};
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
 use lf_sim::parallel::{
-    default_workers, parallel_for_init, parallel_for_scoped, parallel_map_init,
+    default_workers, parallel_for, parallel_for_init, parallel_for_scoped, parallel_map_init,
+    DisjointSlice,
 };
 use lf_sim::shadow::ShadowRegion;
 use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
 use lf_sparse::ell::ELL_PAD;
-use lf_sparse::{DenseMatrix, Result, SparseError};
+use lf_sparse::{DenseMatrix, Index, Result, Scalar, SparseError};
 
 /// How bucket kernels are combined into launches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +56,107 @@ pub enum FusionMode {
     PerPartition,
 }
 
-/// One flattened numeric work item: a row range of one bucket.
+/// Bucket rows `lo..hi` of bucket `bucket` in partition `part`.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    part: u32,
+    bucket: u32,
+    lo: u32,
+    hi: u32,
+}
+
+/// The numeric path's row-band schedule: band `b` owns output rows
+/// `rows[b]..rows[b + 1]` and walks `segments[offsets[b]..offsets[b +
+/// 1]]`, its bucket rows in partition-major order.
+#[derive(Debug, Clone)]
+struct BandSchedule {
+    /// The `TileParams::chunk_slots` the bands were cut at.
+    chunk_slots: usize,
+    rows: Vec<usize>,
+    offsets: Vec<usize>,
+    segments: Vec<Segment>,
+}
+
+impl BandSchedule {
+    /// Cut the output rows into bands of at least `chunk_slots` stored
+    /// slots (a heavier row is a band of its own). One pass over the
+    /// bucket rows weighs every output row; one forward cursor per
+    /// bucket then finds each band's segments, so the build is
+    /// O(bucket rows + bands × buckets).
+    ///
+    /// The cursors rely on ascending `row_ind` in every bucket, which
+    /// the builder guarantees; a hand-assembled matrix without it gets
+    /// one band over all rows, still a single writer per row.
+    fn build<T: Scalar>(cell: &CellMatrix<T>, chunk_slots: usize) -> Self {
+        let buckets = || {
+            cell.partitions().iter().enumerate().flat_map(|(pi, part)| {
+                part.buckets
+                    .iter()
+                    .enumerate()
+                    .map(move |(bi, bucket)| (pi, bi, bucket))
+            })
+        };
+        let mut weight = vec![0usize; cell.rows()];
+        let mut sorted = true;
+        for (_, _, bucket) in buckets() {
+            sorted &= bucket.row_ind.windows(2).all(|w| w[0] <= w[1]);
+            for &r in &bucket.row_ind {
+                weight[r as usize] += bucket.width;
+            }
+        }
+        let target = if sorted {
+            chunk_slots.max(1)
+        } else {
+            usize::MAX
+        };
+        let mut rows = vec![0];
+        let mut acc = 0usize;
+        for (r, &w) in weight.iter().enumerate() {
+            acc = acc.saturating_add(w);
+            if acc >= target {
+                rows.push(r + 1);
+                acc = 0;
+            }
+        }
+        if acc > 0 {
+            rows.push(weight.len());
+        }
+        let mut cursors = vec![0usize; buckets().count()];
+        let mut offsets = Vec::with_capacity(rows.len());
+        offsets.push(0);
+        let mut segments = Vec::new();
+        for &end in &rows[1..] {
+            for ((pi, bi, bucket), hi) in buckets().zip(cursors.iter_mut()) {
+                let lo = *hi;
+                while *hi < bucket.num_rows() && (bucket.row_ind[*hi] as usize) < end {
+                    *hi += 1;
+                }
+                if *hi > lo {
+                    segments.push(Segment {
+                        part: pi as u32,
+                        bucket: bi as u32,
+                        lo: lo as u32,
+                        hi: *hi as u32,
+                    });
+                }
+            }
+            offsets.push(segments.len());
+        }
+        BandSchedule {
+            chunk_slots,
+            rows,
+            offsets,
+            segments,
+        }
+    }
+
+    /// Number of bands.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+}
+
+/// One work item of the forced-atomic path: a row range of one bucket.
 struct WorkItem<'m, T> {
     bucket: &'m Bucket<T>,
     lo: usize,
@@ -73,35 +183,81 @@ fn construction_workers(items: usize) -> usize {
     }
 }
 
+/// The `[lo, hi)` accumulator tiles of a `j`-wide row.
+fn j_tiles(j: usize, tile: &TileParams) -> impl Iterator<Item = (usize, usize)> {
+    let step = tile.j_tile.max(1);
+    (0..j).step_by(step).map(move |lo| (lo, (lo + step).min(j)))
+}
+
+/// The one CELL numeric loop: `acc[s] += Σ_k vals[k] · B[cols[k]][offset
+/// + s]` over one bucket row's non-padding slots, in ascending `k`,
+/// gathered `k_block` at a time into the caller's (empty) `gather`.
+/// `tile.lanes` must be resolved.
+fn accumulate_row<'b, T: Scalar>(
+    gather: &mut Gather<'b, T>,
+    tile: &TileParams,
+    acc: &mut [T],
+    offset: usize,
+    cols: &[Index],
+    vals: &[T],
+    b: &'b DenseMatrix<T>,
+) {
+    let k_block = tile.k_block_clamped();
+    for (&col, &a) in cols.iter().zip(vals) {
+        if col == ELL_PAD {
+            continue;
+        }
+        gather.push(a, b.row(col as usize));
+        if gather.full(k_block) {
+            gather.flush_into(tile.lanes, acc, offset);
+        }
+    }
+    gather.flush_into(tile.lanes, acc, offset);
+}
+
 /// LiteForm's CELL SpMM kernel.
 pub struct CellKernel<T> {
     cell: CellMatrix<T>,
     fusion: FusionMode,
     tile: TileParams,
+    /// Row bands cut at `tile.chunk_slots`, built when the tile is bound.
+    bands: BandSchedule,
 }
 
 impl<T: AtomicScalar> CellKernel<T> {
     /// Wrap a CELL operand (fully fused launches, default tile).
     pub fn new(cell: CellMatrix<T>) -> Self {
+        Self::tiled(cell, TileParams::default())
+    }
+
+    /// Wrap a CELL operand bound to an execution tile (fully fused
+    /// launches). Same as `new(cell).with_tile(tile)`, but builds the
+    /// row-band schedule once instead of twice.
+    pub fn tiled(cell: CellMatrix<T>, tile: TileParams) -> Self {
+        let bands = BandSchedule::build(&cell, tile.chunk_slots);
         CellKernel {
             cell,
             fusion: FusionMode::Full,
-            tile: TileParams::default(),
+            tile,
+            bands,
         }
     }
 
     /// Wrap with an explicit fusion mode.
     pub fn with_fusion(cell: CellMatrix<T>, fusion: FusionMode) -> Self {
         CellKernel {
-            cell,
             fusion,
-            tile: TileParams::default(),
+            ..Self::new(cell)
         }
     }
 
     /// Set the execution tile this kernel runs with by default (builder
     /// style; the `lf-cost` tile search picks it per matrix family + J).
+    /// Rebuilds the row bands when `chunk_slots` changes.
     pub fn with_tile(mut self, tile: TileParams) -> Self {
+        if tile.chunk_slots != self.bands.chunk_slots {
+            self.bands = BandSchedule::build(&self.cell, tile.chunk_slots);
+        }
         self.tile = tile;
         self
     }
@@ -128,41 +284,15 @@ impl<T: AtomicScalar> CellKernel<T> {
         Ok(())
     }
 
-    /// Flatten all `(partition, bucket)` pairs into row-chunk work items
-    /// — the CPU mirror of the paper's §6 horizontal fusion: one launch,
-    /// one parallel region, no barrier between buckets.
-    fn numeric_work_items(&self, chunk_slots: usize) -> Vec<WorkItem<'_, T>> {
-        let mut items = Vec::new();
-        for part in self.cell.partitions() {
-            for bucket in &part.buckets {
-                let rows = bucket.num_rows();
-                if rows == 0 {
-                    continue;
-                }
-                let rows_per_item = (chunk_slots.max(1) / bucket.width.max(1)).max(1);
-                let mut lo = 0;
-                while lo < rows {
-                    let hi = (lo + rows_per_item).min(rows);
-                    items.push(WorkItem { bucket, lo, hi });
-                    lo = hi;
-                }
-            }
-        }
-        items
-    }
-
-    /// Shared numeric path. `force_atomic` routes every flush through
-    /// `atomic_add` regardless of `needs_atomic` — the verification knob
-    /// the equivalence property tests exercise. `tile` selects the
-    /// accumulator width, k-block depth and lane shape; every setting
-    /// produces bitwise identical results on single-writer paths
-    /// (per-element accumulation order is ascending `k` throughout).
-    fn execute(
-        &self,
-        b: &DenseMatrix<T>,
-        force_atomic: bool,
-        tile: TileParams,
-    ) -> Result<DenseMatrix<T>> {
+    /// Numeric path with an explicit execution tile (serving threads the
+    /// memoized per-(matrix-family, J) winner through here; `run` uses
+    /// the kernel's own tile): one parallel region over the row bands,
+    /// each accumulating straight into the `C` rows it owns. `tile`
+    /// selects the j-tile, k-block depth and lane shape (none of which
+    /// changes any element's accumulation order) and the band size; a
+    /// `chunk_slots` other than the bound tile's builds a transient
+    /// schedule.
+    pub fn run_tiled(&self, b: &DenseMatrix<T>, tile: TileParams) -> Result<DenseMatrix<T>> {
         self.check_shape(b)?;
         let (rows, _) = self.cell.shape();
         let j = b.cols();
@@ -170,176 +300,113 @@ impl<T: AtomicScalar> CellKernel<T> {
         if j == 0 {
             return Ok(c);
         }
-        let items = self.numeric_work_items(tile.chunk_slots);
-        if items.is_empty() {
-            return Ok(c);
-        }
-        let lanes = tile.lanes.resolve::<T>();
-        let k_block = tile.k_block_clamped();
-        // Debug builds check the bucket labeling through the shadow race
-        // detector: rows of `needs_atomic == false` buckets must be
-        // claimed exactly once (exclusive), rows flushed through atomics
-        // register shared claims. A mislabeled bucket — a plain-store
-        // row that another bucket also writes — panics at the claim.
-        let shadow = ShadowRegion::new(rows * j);
-        let workers = default_workers().min(items.len());
-        if workers == 1 && !force_atomic {
-            // Single-worker region: there is no concurrency, so even
-            // multi-writer (needs_atomic) buckets can accumulate straight
-            // into `C` — no CAS loops, no scratch, no flush pass. The
-            // claim discipline still applies: the single-writer invariant
-            // is about *ownership* (a plain-store row with two writers is
-            // a correctness bug even sequentially, since the parallel
-            // path would overwrite rather than accumulate it).
-            let out = c.as_mut_slice();
-            if lanes == Lanes::Scalar {
-                // The pre-SIMD engine, loop shape unchanged: fragment-
-                // major over the flattened work items.
-                for &WorkItem { bucket, lo, hi } in &items {
-                    let w = bucket.width;
-                    for bi in lo..hi {
-                        let base = bucket.row_ind[bi] as usize * j;
-                        if bucket.needs_atomic {
-                            shadow.claim_shared(base, j);
-                        } else {
-                            shadow.claim_exclusive(base, j);
-                        }
-                        let crow = &mut out[base..base + j];
-                        let cols = &bucket.col_ind[bi * w..(bi + 1) * w];
-                        let vals = &bucket.values[bi * w..(bi + 1) * w];
-                        for (&col, &a) in cols.iter().zip(vals) {
-                            if col == ELL_PAD {
-                                continue;
-                            }
-                            let brow = b.row(col as usize);
-                            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                                *cv += a * bv;
-                            }
-                        }
-                    }
-                }
-                return Ok(c);
-            }
-            // SIMD direct path: the same fragment-major walk as the
-            // scalar engine (bucket `row_ind` is ascending, so `C` rows
-            // stream sequentially within a bucket and `B` stays
-            // partition-local), but each fragment's non-pad (coeff,
-            // B-row) pairs are gathered first and applied as one
-            // register-blocked strip sweep — PAD filtering and the
-            // per-nonzero accumulator reloads leave the inner loop.
-            // Per-element accumulation order stays ascending-k, so the
-            // bits match the scalar path exactly.
-            let mut gather: Gather<'_, T> = Gather::new();
-            for &WorkItem { bucket, lo, hi } in &items {
-                let w = bucket.width;
-                for bi in lo..hi {
-                    let base = bucket.row_ind[bi] as usize * j;
-                    if bucket.needs_atomic {
-                        shadow.claim_shared(base, j);
-                    } else {
-                        shadow.claim_exclusive(base, j);
-                    }
-                    let crow = &mut out[base..base + j];
-                    let cols = &bucket.col_ind[bi * w..(bi + 1) * w];
-                    let vals = &bucket.values[bi * w..(bi + 1) * w];
-                    for (&col, &a) in cols.iter().zip(vals) {
-                        if col == ELL_PAD {
-                            continue;
-                        }
-                        gather.push(a, b.row(col as usize));
-                        if gather.full(k_block) {
-                            gather.flush_into(lanes, crow, 0);
-                        }
-                    }
-                    gather.flush_into(lanes, crow, 0);
-                }
-            }
-            return Ok(c);
-        }
+        let transient;
+        let bands = if tile.chunk_slots == self.bands.chunk_slots {
+            &self.bands
+        } else {
+            transient = BandSchedule::build(&self.cell, tile.chunk_slots);
+            &transient
+        };
+        let tile = tile.with_lanes(tile.lanes.resolve::<T>());
+        let parts = self.cell.partitions();
+        // Debug builds check the bucket labels the GPU model relies on
+        // through the shadow race detector: rows of `needs_atomic ==
+        // false` buckets must be claimed exactly once (exclusive), the
+        // rest register shared claims. A mislabeled bucket — a
+        // plain-store row another bucket also writes — panics here.
+        let labels = ShadowRegion::new(rows * j);
         {
-            let j_tile = tile.j_tile.max(1);
-            let cells = T::as_cells(c.as_mut_slice());
-            parallel_for_init(
-                items.len(),
-                workers,
-                || vec![T::ZERO; j_tile.min(j)],
-                |acc_buf, wi| {
-                    let WorkItem { bucket, lo, hi } = items[wi];
+            let out = DisjointSlice::new(c.as_mut_slice());
+            parallel_for(bands.len(), default_workers(), |band| {
+                let r0 = bands.rows[band];
+                // SAFETY: band row ranges are disjoint (the schedule cuts the
+                // rows into consecutive ranges) and `parallel_for` hands each
+                // band to exactly one worker.
+                let c_band = unsafe { out.slice_mut(r0 * j, (bands.rows[band + 1] - r0) * j) };
+                let mut gather = Gather::new();
+                for seg in &bands.segments[bands.offsets[band]..bands.offsets[band + 1]] {
+                    let bucket = &parts[seg.part as usize].buckets[seg.bucket as usize];
                     let w = bucket.width;
-                    let atomic = force_atomic || bucket.needs_atomic;
-                    let mut gather: Gather<'_, T> = Gather::new();
-                    let mut tile_lo = 0;
-                    while tile_lo < j {
-                        let tile_hi = (tile_lo + j_tile).min(j);
-                        let acc = &mut acc_buf[..tile_hi - tile_lo];
-                        for bi in lo..hi {
-                            acc.fill(T::ZERO);
-                            if lanes == Lanes::Scalar {
-                                // The pre-SIMD engine, loop shape
-                                // unchanged.
-                                for k in 0..w {
-                                    let col = bucket.col_ind[bi * w + k];
-                                    if col == ELL_PAD {
-                                        continue;
-                                    }
-                                    let a = bucket.values[bi * w + k];
-                                    let brow = &b.row(col as usize)[tile_lo..tile_hi];
-                                    for (s, &bv) in brow.iter().enumerate() {
-                                        acc[s] += a * bv;
-                                    }
-                                }
-                            } else {
-                                for k in 0..w {
-                                    let col = bucket.col_ind[bi * w + k];
-                                    if col == ELL_PAD {
-                                        continue;
-                                    }
-                                    gather.push(bucket.values[bi * w + k], b.row(col as usize));
-                                    if gather.full(k_block) {
-                                        gather.flush_into(lanes, acc, tile_lo);
-                                    }
-                                }
-                                gather.flush_into(lanes, acc, tile_lo);
-                            }
-                            let out = bucket.row_ind[bi] as usize * j + tile_lo;
-                            if atomic {
-                                // Folded fragments / sibling partitions may
-                                // write the same row (Algorithm 2 line 9).
-                                shadow.claim_shared(out, tile_hi - tile_lo);
-                                for (s, &v) in acc.iter().enumerate() {
-                                    T::atomic_add(&cells[out + s], v);
-                                }
-                            } else {
-                                // Single-writer row by construction: a
-                                // plain store, no CAS — and the claim
-                                // proves no other bucket writes it.
-                                shadow.claim_exclusive(out, tile_hi - tile_lo);
-                                for (s, &v) in acc.iter().enumerate() {
-                                    T::store_cell(&cells[out + s], v);
-                                }
-                            }
+                    for bi in seg.lo as usize..seg.hi as usize {
+                        let row = bucket.row_ind[bi] as usize;
+                        if bucket.needs_atomic {
+                            labels.claim_shared(row * j, j);
+                        } else {
+                            labels.claim_exclusive(row * j, j);
                         }
-                        tile_lo = tile_hi;
+                        let crow = &mut c_band[(row - r0) * j..(row - r0 + 1) * j];
+                        let (cols, vals) = (
+                            &bucket.col_ind[bi * w..][..w],
+                            &bucket.values[bi * w..][..w],
+                        );
+                        for (lo, hi) in j_tiles(j, &tile) {
+                            accumulate_row(
+                                &mut gather,
+                                &tile,
+                                &mut crow[lo..hi],
+                                lo,
+                                cols,
+                                vals,
+                                b,
+                            );
+                        }
                     }
-                },
-            );
+                }
+            });
         }
         Ok(c)
     }
 
-    /// Numeric path with every flush forced through atomics, bypassing
-    /// the single-writer fast path. Exists so tests can prove the two
-    /// flush modes produce identical results; `run` is always at least
-    /// as fast.
+    /// Numeric path with every bucket row flushed through `atomic_add`:
+    /// the flattened `(partition, bucket, row-chunk)` work queue with a
+    /// per-worker accumulator, the CPU image of Algorithm 2 line 9. Kept
+    /// as the oracle the equivalence tests and `bench_spmm` compare
+    /// `run` against; fragments of one row may land in any order, so it
+    /// agrees with `run` to rounding, not bitwise.
     pub fn run_forced_atomic(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-        self.execute(b, true, self.tile)
-    }
-
-    /// Numeric path with an explicit execution tile (serving threads the
-    /// memoized per-(matrix-family, J) winner through here; `run` uses
-    /// the kernel's own default tile).
-    pub fn run_tiled(&self, b: &DenseMatrix<T>, tile: TileParams) -> Result<DenseMatrix<T>> {
-        self.execute(b, false, tile)
+        self.check_shape(b)?;
+        let (rows, _) = self.cell.shape();
+        let j = b.cols();
+        let mut c = DenseMatrix::zeros(rows, j);
+        let mut items = Vec::new();
+        for bucket in self.cell.partitions().iter().flat_map(|p| &p.buckets) {
+            let step = (self.tile.chunk_slots.max(1) / bucket.width.max(1)).max(1);
+            for lo in (0..bucket.num_rows()).step_by(step) {
+                let hi = (lo + step).min(bucket.num_rows());
+                items.push(WorkItem { bucket, lo, hi });
+            }
+        }
+        if j == 0 || items.is_empty() {
+            return Ok(c);
+        }
+        let tile = self.tile.with_lanes(self.tile.lanes.resolve::<T>());
+        let cells = T::as_cells(c.as_mut_slice());
+        parallel_for_init(
+            items.len(),
+            default_workers(),
+            || vec![T::ZERO; tile.j_tile.max(1).min(j)],
+            |acc_buf, wi| {
+                let WorkItem { bucket, lo, hi } = items[wi];
+                let w = bucket.width;
+                let mut gather = Gather::new();
+                for (t_lo, t_hi) in j_tiles(j, &tile) {
+                    let acc = &mut acc_buf[..t_hi - t_lo];
+                    for bi in lo..hi {
+                        acc.fill(T::ZERO);
+                        let (cols, vals) = (
+                            &bucket.col_ind[bi * w..][..w],
+                            &bucket.values[bi * w..][..w],
+                        );
+                        accumulate_row(&mut gather, &tile, acc, t_lo, cols, vals, b);
+                        let out = bucket.row_ind[bi] as usize * j + t_lo;
+                        for (cell, &v) in cells[out..].iter().zip(acc.iter()) {
+                            T::atomic_add(cell, v);
+                        }
+                    }
+                }
+            },
+        );
+        Ok(c)
     }
 
     /// The pre-engine numeric path: one scoped spawn/join parallel region
@@ -419,7 +486,7 @@ impl<T: AtomicScalar> SpmmKernel<T> for CellKernel<T> {
     }
 
     fn run(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-        self.execute(b, false, self.tile)
+        self.run_tiled(b, self.tile)
     }
 
     fn launches(&self, j: usize, device: &DeviceModel) -> Vec<LaunchSpec> {
@@ -504,6 +571,7 @@ impl<T: AtomicScalar> SpmmKernel<T> for CellKernel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simd::Lanes;
     use lf_cell::{build_cell, CellConfig};
     use lf_sparse::gen::{mixed_regions, uniform_random, uniform_with_long_rows};
     use lf_sparse::{CsrMatrix, Pcg32};
@@ -605,8 +673,9 @@ mod tests {
                 assert_eq!(got.as_slice(), want.as_slice(), "J={j} tile={tile:?}");
             }
         }
-        // Folded / multi-partition (atomic) buckets: order across
-        // fragments is scheduling-dependent, so assert 1e-9 agreement.
+        // Folded / multi-partition (`needs_atomic`) buckets: the row
+        // bands still sum every element in ascending column order, so
+        // every tile reproduces the reference bits.
         let csr = CsrMatrix::from_coo(&uniform_with_long_rows::<f64>(
             150, 160, 2200, 4, 120, &mut rng,
         ));
@@ -622,6 +691,7 @@ mod tests {
         for tile in tiles {
             let got = ka.run_tiled(&b, tile).unwrap();
             assert!(got.approx_eq(&want, 1e-9), "atomic tile={tile:?}");
+            assert_eq!(got.as_slice(), want.as_slice(), "atomic tile={tile:?}");
         }
     }
 

@@ -15,7 +15,9 @@
 //! Three shapes share the same arithmetic:
 //!
 //! * [`Lanes::Scalar`] — the kernels keep their original element-wise
-//!   loops (the pre-SIMD engine, byte-for-byte the same code shape);
+//!   loops (the pre-SIMD engine, byte-for-byte the same code shape),
+//!   except CELL, which runs its one numeric loop through the 1-lane
+//!   instantiation of the same microkernel;
 //! * [`Lanes::X4`] / [`Lanes::X8`] — explicit 4/8-lane unrolled strips
 //!   the autovectorizer lowers to full-width vector code; on x86_64
 //!   with AVX2 detected at runtime the same generic body is entered

@@ -78,11 +78,11 @@ fn all_kernels(csr: &CsrMatrix<f64>, tile: TileParams) -> Vec<(Box<dyn SpmmKerne
                 CellKernel::new(build_cell(csr, &CellConfig::with_partitions(3)).unwrap())
                     .with_tile(tile),
             ),
-            true,
+            false,
         ),
         // Width-capped build: long rows fold into fragments of the
-        // maximum bucket, exercising the atomic flush path (and its
-        // shared shadow claims) on every structural class.
+        // maximum bucket (shared shadow claims) on every structural
+        // class. Row bands keep even folded rows single-writer.
         (
             Box::new(
                 CellKernel::new(
@@ -90,7 +90,7 @@ fn all_kernels(csr: &CsrMatrix<f64>, tile: TileParams) -> Vec<(Box<dyn SpmmKerne
                 )
                 .with_tile(tile),
             ),
-            true,
+            false,
         ),
     ]
 }

@@ -85,6 +85,59 @@ fn coalesced_results_are_bitwise_identical_to_solo_serving() {
 }
 
 #[test]
+fn fused_multi_partition_members_are_bitwise_identical_to_solo_serving() {
+    // Four column partitions flag every bucket `needs_atomic` in the GPU
+    // model, yet the CPU row bands give each output row one writer that
+    // sums in ascending column order. So a fused member must reproduce
+    // its solo bits — and the reference's — even though the fused J=48
+    // plan is tuned (bucket widths and all) at a different width than
+    // the solo J=6 one.
+    let n = 160;
+    let threads = 8usize;
+    let a = matrix(15, n, 3000);
+    let handle = MatrixHandle::new(a.clone()).unwrap();
+    let bs: Vec<DenseMatrix<f64>> = (0..threads)
+        .map(|t| {
+            let mut rng = Pcg32::seed_from_u64(0xC17 + t as u64);
+            DenseMatrix::random(n, 6, &mut rng)
+        })
+        .collect();
+
+    let batched = ServeEngine::new(FixedCellPlanner::tuned(4), batching_config(400_000, 48));
+    let solo = ServeEngine::new(FixedCellPlanner::tuned(4), ServeConfig::default());
+    let barrier = Barrier::new(threads);
+    let outcomes: Vec<(usize, bool, Vec<u64>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                let (batched, handle, b, barrier) = (&batched, &handle, &bs[t], &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    let out = batched.serve_handle(handle, b).unwrap();
+                    (t, out.batched, bits(&out.result))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    for (t, _, got) in &outcomes {
+        let want = solo.serve_handle(&handle, &bs[*t]).unwrap();
+        assert_eq!(got, &bits(&want.result), "thread {t}: fused bits diverged");
+        assert_eq!(
+            got,
+            &bits(&a.spmm_reference(&bs[*t]).unwrap()),
+            "thread {t}: not the reference bits"
+        );
+    }
+    let s = batched.stats();
+    assert_eq!(s.hits + s.misses, threads as u64, "all clean: {s:?}");
+    assert!(
+        outcomes.iter().filter(|(_, batched, _)| *batched).count() >= 2,
+        "the barrier storm must fuse at least one pair: {s:?}"
+    );
+}
+
+#[test]
 fn zero_and_one_width_joiners_ride_along() {
     // J=0 and J=1 members are legal joiners: they cost (almost) nothing
     // in the fused operand and must come back with exactly their own

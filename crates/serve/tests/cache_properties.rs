@@ -5,10 +5,11 @@
 //! natural widths — the engine's atomic-free regime, proven bitwise
 //! reproducible in `lf-kernels`' engine suite) a cache-hit serve must be
 //! **bit-identical** to a cold compose+run, including after a full
-//! eviction/re-admission cycle. Plans whose buckets update `C` through
-//! atomics (multi-partition) accumulate in nondeterministic order — for
-//! those the property is agreement within floating-point tolerance, the
-//! same bound the kernel suite holds every engine path to.
+//! eviction/re-admission cycle. Multi-partition plans are held to
+//! agreement within floating-point tolerance (written when their buckets
+//! still flushed through atomics; CELL's row bands now make them
+//! bitwise-equal to the reference too, which `lf-kernels`' `cell_bitwise`
+//! suite asserts).
 
 use lf_serve::{FixedCellPlanner, Planner, ServeConfig, ServeEngine};
 use lf_sparse::gen::PatternFamily;

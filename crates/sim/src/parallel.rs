@@ -572,7 +572,11 @@ mod tests {
     /// is reused.
     #[test]
     fn cancelled_region_drains_before_slot_reuse() {
-        let spawned_before = pool::workers_spawned_total();
+        // Baseline the global pool's own spawn count, after starting it:
+        // the process-wide total also moves when this is the pool's first
+        // use or when other tests spawn private pools concurrently.
+        let global = pool::global();
+        let spawned_before = global.workers_spawned();
         for seed in [0x5eed_0001u64, 0xdead_beef, 0xc0ff_ee11] {
             let mut s = seed;
             let mut next = move || {
@@ -626,7 +630,7 @@ mod tests {
             }
         }
         assert_eq!(
-            pool::workers_spawned_total(),
+            global.workers_spawned(),
             spawned_before,
             "cancellation churn must not respawn pool workers"
         );

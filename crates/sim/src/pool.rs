@@ -160,6 +160,8 @@ struct PoolState {
 struct Shared {
     state: Mutex<PoolState>,
     work_ready: Condvar,
+    /// Worker threads this pool has spawned.
+    spawned: StdAtomicUsize,
 }
 
 /// Process-wide count of pool worker threads ever spawned (all pools).
@@ -192,10 +194,12 @@ impl ThreadPool {
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
+            spawned: StdAtomicUsize::new(0),
         });
         WORKERS_SPAWNED.fetch_add(threads, Ordering::Relaxed);
         let handles = (0..threads)
             .map(|_| {
+                shared.spawned.fetch_add(1, Ordering::Relaxed);
                 let shared = Arc::clone(&shared);
                 thread::spawn_named("lf-pool-worker", move || worker_loop(&shared))
                     .expect("spawn pool worker")
@@ -207,6 +211,13 @@ impl ThreadPool {
     /// Number of pool worker threads (excluding callers).
     pub fn threads(&self) -> usize {
         self.handles.len()
+    }
+
+    /// Worker threads this pool has spawned over its lifetime. Unlike
+    /// [`workers_spawned_total`], other pools in the process do not
+    /// move it.
+    pub fn workers_spawned(&self) -> usize {
+        self.shared.spawned.load(Ordering::Relaxed)
     }
 
     /// Publish `job` as the pool's current work and wake the workers.
