@@ -12,17 +12,23 @@
 //!   `p`), plus the engine's own counter snapshot;
 //!
 //! and a concurrent-throughput section: 8 threads hammering 4 warmed
-//! handles through one engine.
+//! handles through one engine. The warm-restart section also records
+//! what one record costs the disk tier (`PlanStore::put`/`get`) and the
+//! CRC-32 throughput.
 //!
 //! Writes `results/bench_serve.json` (`LF_RESULTS_DIR` overrides); with
 //! `--quick`, a seconds-scale smoke into `target/bench-serve/` that
 //! exits non-zero if a cache hit fails to beat a cold serve at all.
 
 use lf_bench::{fmt, write_json, Table};
-use lf_serve::{MatrixHandle, PinnedLiteForm, ServeConfig, ServeEngine, ServeStats};
+use lf_serve::{
+    Fingerprint, MatrixHandle, PinnedLiteForm, Placement, PlanStore, Planner, ServeConfig,
+    ServeEngine, ServeStats, StoreConfig,
+};
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
-use liteform_core::{LiteForm, ModelBundle};
+use liteform_core::codec::crc32;
+use liteform_core::{encode_plan, LiteForm, ModelBundle};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -77,6 +83,12 @@ struct WarmRestart {
     cold_start_ms: f64,
     warmed_ms: f64,
     first_request_speedup: f64,
+    /// Median over the matrices of the best-of-reps `PlanStore::put`.
+    store_put_ms: f64,
+    /// Median over the matrices of the best-of-reps `PlanStore::get`.
+    store_get_ms: f64,
+    /// CRC-32 throughput over the largest encoded record.
+    crc32_gbps: f64,
 }
 
 #[derive(Serialize)]
@@ -100,6 +112,17 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
         best = best.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     best
+}
+
+/// Median of a non-empty series.
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
 }
 
 fn main() {
@@ -425,21 +448,71 @@ fn main() {
         }
     });
     let _ = std::fs::remove_dir_all(&store_dir);
+
+    // What one record costs the disk tier: `put` is encode, both CRCs,
+    // the synced write and rename, and the manifest rewrite; `get` is
+    // the read, both CRCs, decode, and the fingerprint re-check.
+    let io_dir = std::env::temp_dir().join(format!("lf-bench-store-io-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&io_dir);
+    let store: PlanStore<f32> = PlanStore::open(StoreConfig {
+        dir: io_dir.clone(),
+        disk_budget_bytes: 0,
+        placement: Placement::CostAware,
+    })
+    .expect("open a fresh plan store");
+    let planner = PinnedLiteForm {
+        pipeline: pipeline.clone(),
+        partitions: 16,
+    };
+    let (mut put_ms, mut get_ms) = (Vec::new(), Vec::new());
+    let mut largest_record = Vec::new();
+    for m in &wr_matrices {
+        let plan = planner.prepare(m, j).expect("compose a working-set plan");
+        let fp = Fingerprint::of_csr(m);
+        put_ms.push(time_ms(reps, || {
+            store.put(&fp, j, &plan, 0, 1).expect("store put");
+        }));
+        get_ms.push(time_ms(reps, || {
+            store
+                .get(&fp, j)
+                .expect("store get")
+                .expect("record on disk");
+        }));
+        let record = encode_plan(&plan).expect("encode a composed plan");
+        if record.len() > largest_record.len() {
+            largest_record = record;
+        }
+    }
+    let _ = std::fs::remove_dir_all(&io_dir);
+    let crc_passes = 16;
+    let crc_ms = time_ms(reps, || {
+        for _ in 0..crc_passes {
+            std::hint::black_box(crc32(std::hint::black_box(&largest_record)));
+        }
+    });
     let warm_restart = WarmRestart {
         matrices: wr_matrices.len(),
         warm_loaded,
         cold_start_ms,
         warmed_ms,
         first_request_speedup: cold_start_ms / warmed_ms,
+        store_put_ms: median(put_ms),
+        store_get_ms: median(get_ms),
+        crc32_gbps: (largest_record.len() * crc_passes) as f64 / (crc_ms * 1e6),
     };
     println!(
         "\nwarm restart ({} matrices): cold-start storm {}ms vs snapshot-warmed {}ms -> {}x \
-         first-request latency ({} records warmed)",
+         first-request latency ({} records warmed)\n  \
+         per record: store put {}ms, store get {}ms; crc32 {} GB/s over {} KiB",
         warm_restart.matrices,
         fmt(cold_start_ms),
         fmt(warmed_ms),
         fmt(warm_restart.first_request_speedup),
         warm_loaded,
+        fmt(warm_restart.store_put_ms),
+        fmt(warm_restart.store_get_ms),
+        fmt(warm_restart.crc32_gbps),
+        largest_record.len() / 1024,
     );
 
     let artifact = Artifact {

@@ -223,9 +223,70 @@ impl<T: Scalar> CellMatrix<T> {
         })
     }
 
-    /// Reconstruct the CSR matrix. Lossless: building a CELL from a CSR
-    /// and converting back yields the original (tested property).
+    /// Reconstruct the CSR matrix. Lossless, stored zeros included:
+    /// building a CELL from a valid CSR and converting back yields that
+    /// CSR exactly (tested property).
+    ///
+    /// Linear in the stored slots: count each row's non-padding slots,
+    /// prefix-sum the counts into `row_ptr`, then scatter `(col, value)`
+    /// in partition → bucket → bucket-row order. Partitions ascend by
+    /// column range and a folded row's fragments sit in column order in
+    /// its partition's cap bucket, so every row of a builder-made (or
+    /// decoded) CELL comes out in strictly ascending column order. A
+    /// hand-assembled matrix that breaks that order or repeats a
+    /// `(row, col)` fails [`CsrMatrix::from_raw`]'s validation and falls
+    /// back to sorting its triplets, which sums duplicates and drops
+    /// entries that are exactly zero.
     pub fn to_csr(&self) -> CsrMatrix<T> {
+        // Every bucket row as (row id, its column slots, its value slots).
+        let bucket_rows = || {
+            self.partitions
+                .iter()
+                .flat_map(|p| &p.buckets)
+                .flat_map(|b| {
+                    let w = b.width.max(1);
+                    b.row_ind
+                        .iter()
+                        .zip(b.col_ind.chunks(w).zip(b.values.chunks(w)))
+                })
+        };
+        // row_ptr[r + 1] counts row r's slots (walked exactly as the
+        // scatter walks them), then the prefix sum makes row_ptr[r] the
+        // start of row r.
+        let mut row_ptr = vec![0usize; self.rows + 1];
+        for (&r, (cols, vals)) in bucket_rows() {
+            let Some(count) = row_ptr.get_mut(r as usize + 1) else {
+                return self.to_csr_sorted();
+            };
+            *count += cols.iter().zip(vals).filter(|(&c, _)| c != ELL_PAD).count();
+        }
+        for i in 0..self.rows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        let nnz = row_ptr[self.rows];
+        let mut col_ind = vec![0 as Index; nnz];
+        let mut values = vec![T::ZERO; nnz];
+        // Scatter with row_ptr[r] as row r's cursor; afterwards it holds
+        // the end of row r, i.e. the start of row r + 1.
+        for (&r, (cols, vals)) in bucket_rows() {
+            let at = &mut row_ptr[r as usize];
+            for (&c, &v) in cols.iter().zip(vals) {
+                if c != ELL_PAD {
+                    col_ind[*at] = c;
+                    values[*at] = v;
+                    *at += 1;
+                }
+            }
+        }
+        row_ptr.copy_within(0..self.rows, 1);
+        row_ptr[0] = 0;
+        CsrMatrix::from_raw(self.rows, self.cols, row_ptr, col_ind, values)
+            .unwrap_or_else(|_| self.to_csr_sorted())
+    }
+
+    /// Sort-and-merge reconstruction for CELLs whose rows do not arrive
+    /// in column order (see [`CellMatrix::to_csr`]).
+    fn to_csr_sorted(&self) -> CsrMatrix<T> {
         let triplets: Vec<(usize, usize, T)> = self.iter().collect();
         let coo = CooMatrix::from_triplets(self.rows, self.cols, triplets)
             .expect("CELL indices are in bounds");

@@ -188,6 +188,54 @@ fn demoted_then_promoted_plan_is_bitwise_identical_to_its_pre_demotion_self() {
 }
 
 #[test]
+fn plans_over_stored_zeros_promote_from_disk() {
+    let _g = locked();
+    let dir = scratch("stored-zeros");
+    let plan_bytes = plan_bytes();
+    let e = engine(ServeConfig {
+        shards: 1,
+        byte_budget: plan_bytes + plan_bytes / 2,
+        ..store_config(&dir)
+    });
+    // A valid CSR may store explicit zeros; the plan keeps them, so the
+    // store's fingerprint re-check must see them again after decoding.
+    let base = matrix(12);
+    let values = base
+        .values()
+        .iter()
+        .enumerate()
+        .map(|(k, &v)| if k % 5 == 0 { 0.0 } else { v })
+        .collect();
+    let m1 = CsrMatrix::from_raw(
+        base.rows(),
+        base.cols(),
+        base.row_ptr().to_vec(),
+        base.col_ind().to_vec(),
+        values,
+    )
+    .unwrap();
+    let mut rng = Pcg32::seed_from_u64(0x2E205);
+    let b = DenseMatrix::random(128, 8, &mut rng);
+
+    assert!(!e.serve(&m1, &b).unwrap().hit);
+    assert!(!e.serve(&matrix(13), &b).unwrap().hit);
+    assert!(e.stats().demotions >= 1, "{:?}", e.stats());
+
+    let after = e.serve(&m1, &b).unwrap();
+    let s = e.stats();
+    assert_eq!(s.warm_rejected, 0, "a valid record was rejected: {s:?}");
+    assert_eq!(s.disk_hits, 1, "{s:?}");
+    assert!(
+        after.hit && after.compose.is_none(),
+        "promoted, not recomposed"
+    );
+    let want = m1.spmm_reference(&b).unwrap();
+    let bits = |m: &DenseMatrix<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&after.result), bits(&want), "promoted plan diverged");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn without_a_store_evicted_bytes_are_counted_as_dropped() {
     let _g = locked();
     let plan_bytes = plan_bytes();
