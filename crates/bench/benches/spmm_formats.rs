@@ -40,16 +40,11 @@ fn bench_formats(c: &mut Criterion) {
             bch.iter(|| k.run(&b).unwrap());
         });
     }
-    // CELL across the partition sweep, engine path vs the pre-engine
-    // (scoped-spawn, always-atomic) path — the speedup the execution
-    // engine claims lives in this comparison.
+    // CELL across the partition sweep.
     for p in [4usize, 16, 32] {
         let k = CellKernel::new(build_cell(&csr, &CellConfig::with_partitions(p)).unwrap());
         group.bench_with_input(BenchmarkId::new("cell", p), &k, |bch, k| {
             bch.iter(|| k.run(&b).unwrap());
-        });
-        group.bench_with_input(BenchmarkId::new("cell_legacy", p), &k, |bch, k| {
-            bch.iter(|| k.run_legacy(&b).unwrap());
         });
     }
     group.finish();

@@ -1,34 +1,32 @@
 //! SpMM execution-engine benchmark: per-kernel numeric throughput on this
-//! host, with the CELL kernel measured on the pre-engine path
-//! (`run_legacy`: one scoped spawn/join per bucket, per-row heap
-//! accumulator, atomics everywhere), the pooled engine path (`run`: row
-//! bands, no atomics) and its CAS-flushing oracle (`run_forced_atomic`:
-//! the bucket-chunk work queue, every row through `atomic_add`), plus a
-//! three-way engine comparison per kernel: forced-scalar lanes (the
-//! pre-SIMD loop shapes) vs the SIMD gather microkernels at the default
-//! tile vs SIMD at the cost-model-tuned tile (`plan_tile`).
+//! host, with the CELL kernel measured on the engine path (`run`: row
+//! bands, no atomics) against its CAS-flushing oracle
+//! (`run_forced_atomic`: the bucket-chunk work queue, every row through
+//! `atomic_add`), plus a three-way engine comparison per kernel: the
+//! microkernel's one-lane arm (`Lanes::Scalar`) vs the SIMD strips at
+//! the default tile vs SIMD at the cost-model-tuned tile (`plan_tile`).
 //!
-//! All three engines are measured **in-process on the same operand**, so
-//! the ratios are free of the cross-run variance this host shows on
-//! absolute times.
+//! All engines are measured **in-process on the same operand**, so the
+//! ratios are free of the cross-run variance this host shows on absolute
+//! times.
 //!
 //! Writes a machine-readable artifact:
 //!
-//! * full mode (default) — the ISSUE's reference configuration
-//!   (4096×4096 `mixed_regions`, 200k nnz, J=64, p ∈ {4, 16, 32}) into
+//! * full mode (default) — the reference configuration (4096×4096
+//!   `mixed_regions`, 200k nnz, J=64, p ∈ {4, 16, 32}) into
 //!   `results/bench_spmm.json` (`LF_RESULTS_DIR` overrides);
 //! * `--quick` — a seconds-scale smoke at reduced sizes into
-//!   `target/bench-spmm/bench_spmm.json`, exiting non-zero if the engine
-//!   path regresses catastrophically vs the legacy path **or** the SIMD
-//!   engine fails its speedup floor over the scalar engine. Wired into
-//!   `scripts/verify.sh --bench`.
+//!   `target/bench-spmm/bench_spmm.json`, exiting non-zero if the CELL
+//!   engine path falls below 0.8× of the forced-atomic oracle **or** the
+//!   SIMD engine fails its 1.2× speedup floor over the one-lane arm.
+//!   Wired into `scripts/verify.sh --bench`.
 
 use lf_bench::{fmt, geomean, write_json, Table};
 use lf_cell::{build_cell, CellConfig};
 use lf_cost::tile::{plan_tile, TileFeatures};
 use lf_kernels::{
-    simd_enabled, BcsrKernel, CellKernel, CsrScalarKernel, CsrVectorKernel, DgSparseKernel,
-    EllKernel, Lanes, SellKernel, SpmmKernel, SputnikKernel, TacoKernel, TacoSchedule, TileParams,
+    BcsrKernel, CellKernel, CsrScalarKernel, CsrVectorKernel, DgSparseKernel, EllKernel, Lanes,
+    SellKernel, SpmmKernel, SputnikKernel, TacoKernel, TacoSchedule, TileParams,
 };
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{BcsrMatrix, CsrMatrix, DenseMatrix, EllMatrix, Pcg32, SellMatrix};
@@ -54,11 +52,11 @@ struct KernelTime {
 #[derive(Serialize)]
 struct CellComparison {
     partitions: usize,
-    legacy_ms: f64,
     engine_ms: f64,
     /// `run_forced_atomic` on the same operand: what `run` would cost
     /// with Algorithm 2's atomic flushes.
     forced_atomic_ms: f64,
+    /// `forced_atomic_ms / engine_ms`.
     speedup: f64,
 }
 
@@ -77,7 +75,6 @@ struct Artifact {
     mode: &'static str,
     matrix: MatrixInfo,
     reps: usize,
-    simd_enabled: bool,
     kernels: Vec<KernelTime>,
     cell: Vec<CellComparison>,
     geomean_speedup: f64,
@@ -158,7 +155,7 @@ fn main() {
         });
     }
 
-    // --- CELL: legacy engine vs pooled engine, p in {4, 16, 32} -------
+    // --- CELL: row-band engine vs forced-atomic oracle, p in {4, 16, 32}
     let cell_kernels: Vec<(usize, CellKernel<f32>)> = [4usize, 16, 32]
         .into_iter()
         .map(|p| {
@@ -170,27 +167,17 @@ fn main() {
         .collect();
     let mut cell_rows = Vec::new();
     let mut speedups = Vec::new();
-    let mut ct = Table::new(&[
-        "cell",
-        "legacy_ms",
-        "engine_ms",
-        "forced_atomic_ms",
-        "speedup",
-    ]);
+    let mut ct = Table::new(&["cell", "engine_ms", "forced_atomic_ms", "speedup"]);
     for (p, k) in &cell_kernels {
-        let legacy_ms = time_ms(reps, || {
-            k.run_legacy(&b).unwrap();
-        });
         let engine_ms = time_ms(reps, || {
             k.run(&b).unwrap();
         });
         let forced_atomic_ms = time_ms(reps, || {
             k.run_forced_atomic(&b).unwrap();
         });
-        let speedup = legacy_ms / engine_ms;
+        let speedup = forced_atomic_ms / engine_ms;
         ct.row(&[
             format!("p={p}"),
-            fmt(legacy_ms),
             fmt(engine_ms),
             fmt(forced_atomic_ms),
             fmt(speedup),
@@ -201,7 +188,6 @@ fn main() {
         });
         cell_rows.push(CellComparison {
             partitions: *p,
-            legacy_ms,
             engine_ms,
             forced_atomic_ms,
             speedup,
@@ -296,26 +282,17 @@ fn main() {
     println!();
     ct.print();
     println!(
-        "\ncell engine speedup geomean over p in {{4,16,32}}: {}x",
+        "\ncell engine speedup over forced-atomic, geomean over p in {{4,16,32}}: {}x",
         fmt(gm)
     );
     println!();
     st.print();
-    println!(
-        "\nSIMD-vs-scalar speedup geomean ({}): {}x",
-        if simd_enabled() {
-            "SIMD on"
-        } else {
-            "LF_SIMD=off — SIMD lanes resolve to scalar"
-        },
-        fmt(simd_gm)
-    );
+    println!("\nSIMD-vs-scalar speedup geomean: {}x", fmt(simd_gm));
 
     let artifact = Artifact {
         mode: if quick { "quick" } else { "full" },
         matrix,
         reps,
-        simd_enabled: simd_enabled(),
         kernels: kernel_times,
         cell: cell_rows,
         geomean_speedup: gm,
@@ -332,14 +309,14 @@ fn main() {
     write_json(&dir, "bench_spmm", &artifact);
 
     if quick && gm < 0.8 {
-        eprintln!("bench_spmm: FAIL — engine path catastrophically slower than legacy ({gm}x)");
+        eprintln!(
+            "bench_spmm: FAIL — CELL engine path slower than its forced-atomic oracle ({gm}x)"
+        );
         std::process::exit(1);
     }
-    // SIMD smoke floor: the gather microkernels must beat the forced
-    // scalar engine by a clear margin (geomean across the distinct
-    // numeric paths). Skipped when the escape hatch disables SIMD —
-    // both engines are then the same code.
-    if quick && simd_enabled() && simd_gm < 1.2 {
+    // SIMD smoke floor: the wide strips must beat the one-lane arm by a
+    // clear margin (geomean across the distinct numeric paths).
+    if quick && simd_gm < 1.2 {
         eprintln!(
             "bench_spmm: FAIL — SIMD engine below its 1.2x geomean floor over scalar ({simd_gm}x)"
         );

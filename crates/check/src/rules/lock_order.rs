@@ -99,7 +99,7 @@ const POOL_PANIC: LockClass = LockClass {
 /// Functions that hand work to the thread pool; reaching one while
 /// holding any serving lock nests the pool's job mutexes under it —
 /// the "cache shard → never pool job mutex" edge of the hierarchy.
-const POOL_ENTRIES: [&str; 11] = [
+const POOL_ENTRIES: [&str; 10] = [
     "parallel_for",
     "parallel_for_init",
     "parallel_map",
@@ -108,7 +108,6 @@ const POOL_ENTRIES: [&str; 11] = [
     "wait_idle",
     "run_tiled",
     "run_batched",
-    "run_legacy",
     "run_forced_atomic",
     "spmm_reference",
 ];

@@ -8,11 +8,12 @@
 //! substring so the fixtures can grow doc text without breaking the
 //! assertions).
 //!
-//! The `rediscovers_seeded_*` tests are the acceptance gate for the
-//! tentpole: the lint, run over the *real* workspace with suppressions
-//! ignored, must find the kept-reverted lock inversion in
-//! `crates/serve/src/batch.rs` and the seeded FMA in
-//! `crates/kernels/src/simd.rs`.
+//! The `rediscovers_seeded_*` tests mount a real source file with a
+//! seeded-bug fixture appended at that file's own path and run the lint
+//! with suppressions ignored: it must find the reverted lock inversion
+//! in `crates/serve/src/batch.rs` and the FMA tail in
+//! `crates/kernels/src/simd.rs`. The seeded code lives only in the
+//! fixture corpus, never in a shipped module.
 
 use lf_check::lint::{run, LintReport, Workspace};
 use lf_check::rules::default_rules;
@@ -276,37 +277,62 @@ fn real_workspace() -> Workspace {
     Workspace::load(&root).expect("workspace loads")
 }
 
+/// Lint the real `path` (its checked-in `text`) with suppressions
+/// ignored, once alone and once with a seeded-bug fixture appended, and
+/// return both reports. The real file supplies the type context (struct
+/// fields, lock declarations, imports) the rules resolve the seeded code
+/// against; the seeded code itself never ships.
+fn lint_seeded(path: &str, text: &str, seeded: &str) -> (LintReport, LintReport) {
+    (
+        lint_one(path, text, false),
+        lint_one(path, &format!("{text}\n{seeded}"), false),
+    )
+}
+
 #[test]
 fn rediscovers_seeded_lock_inversion_in_batch_rs() {
-    let ws = real_workspace();
-    let report = run(&ws, &default_rules(), false);
-    assert!(
-        report.findings.iter().any(|f| {
+    let (real, seeded) = lint_seeded(
+        "crates/serve/src/batch.rs",
+        include_str!("../../serve/src/batch.rs"),
+        include_str!("lint_fixtures/seeded_batch_close.rs"),
+    );
+    let inversion = |r: &LintReport| {
+        r.findings.iter().any(|f| {
             f.rule == "lock-order"
                 && f.file == "crates/serve/src/batch.rs"
                 && f.msg.contains("BatchBoard.open")
                 && f.msg.contains("BatchGroup.state")
-        }),
-        "lock-order must rediscover close_reverted's inversion: {:?}",
-        report
+        })
+    };
+    assert!(
+        inversion(&seeded),
+        "lock-order must rediscover the seeded group-then-board inversion: {:?}",
+        seeded
             .findings
             .iter()
             .filter(|f| f.rule == "lock-order")
             .collect::<Vec<_>>()
     );
+    assert!(!inversion(&real), "the shipped batch.rs has no inversion");
 }
 
 #[test]
 fn rediscovers_seeded_fma_in_simd_rs() {
-    let ws = real_workspace();
-    let report = run(&ws, &default_rules(), false);
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == "determinism" && f.file == "crates/kernels/src/simd.rs"),
-        "determinism must rediscover scalar_tail_fma_reverted's mul_add"
+    let (real, seeded) = lint_seeded(
+        "crates/kernels/src/simd.rs",
+        include_str!("../../kernels/src/simd.rs"),
+        include_str!("lint_fixtures/seeded_simd_fma.rs"),
     );
+    let fma = |r: &LintReport| {
+        r.findings
+            .iter()
+            .any(|f| f.rule == "determinism" && f.file == "crates/kernels/src/simd.rs")
+    };
+    assert!(
+        fma(&seeded),
+        "determinism must rediscover the seeded mul_add tail"
+    );
+    assert!(!fma(&real), "the shipped simd.rs has no mul_add");
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! ~16-nnz/row f32 operand at J=128 shares one cached plan. Cache hits
 //! allocate nothing.
 
-use lf_kernels::simd::{avx2_available, simd_enabled, Lanes, TileParams, MAX_K_BLOCK};
+use lf_kernels::simd::{avx2_available, Lanes, TileParams, MAX_K_BLOCK};
 use lf_sim::calibration;
 use lf_sim::parallel::default_workers;
 use std::collections::HashMap;
@@ -137,14 +137,12 @@ pub fn predict_tile_ns(features: TileFeatures, j: usize, params: &TileParams) ->
 /// Returns the winning parameters and their predicted nanoseconds.
 pub fn search_tile(features: TileFeatures, j: usize) -> (TileParams, f64) {
     let mut lane_candidates: Vec<Lanes> = Vec::with_capacity(3);
-    if simd_enabled() {
-        if avx2_available() || features.elem_bytes > 4 {
-            // X8 without AVX2 still wins for f64: the strip shape is
-            // what matters, not the ISA (measured costs decide).
-            lane_candidates.push(Lanes::X8);
-        }
-        lane_candidates.push(Lanes::X4);
+    if avx2_available() || features.elem_bytes > 4 {
+        // X8 without AVX2 still wins for f64: the strip shape is what
+        // matters, not the ISA (measured costs decide).
+        lane_candidates.push(Lanes::X8);
     }
+    lane_candidates.push(Lanes::X4);
     lane_candidates.push(Lanes::Scalar);
     let mut best: Option<(TileParams, f64)> = None;
     // Fixed iteration order keeps the argmin deterministic: ties break
@@ -223,13 +221,9 @@ mod tests {
         let (p2, c2) = search_tile(f, 32);
         assert_eq!(p1, p2);
         assert_eq!(c1.to_bits(), c2.to_bits());
-        if simd_enabled() {
-            // Calibration clamps wide-lane axpy cost to <= scalar, so an
-            // enabled search never prefers the scalar engine.
-            assert_ne!(p1.lanes, Lanes::Scalar);
-        } else {
-            assert_eq!(p1.lanes, Lanes::Scalar);
-        }
+        // Calibration clamps wide-lane axpy cost to <= scalar, so the
+        // search never prefers the scalar engine.
+        assert_ne!(p1.lanes, Lanes::Scalar);
         assert_ne!(p1.lanes, Lanes::Auto, "plans must be concrete");
     }
 

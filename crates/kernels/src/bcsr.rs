@@ -5,7 +5,7 @@
 //! footprint enough to reproduce the paper's Triton OOM entries.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops};
-use crate::simd::{Gather, Lanes, TileParams};
+use crate::simd::{Gather, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -80,38 +80,20 @@ impl<T: AtomicScalar> BcsrKernel<T> {
                     for k in ptr[blk_row]..ptr[blk_row + 1] {
                         let bcol = self.bcsr.block_col_ind()[k] as usize;
                         let tile = &self.bcsr.block_values()[k * slots..(k + 1) * slots];
-                        if lanes == Lanes::Scalar {
-                            // The pre-SIMD engine, loop shape unchanged.
-                            for lc in 0..bc {
-                                let col = bcol * bc + lc;
-                                if col >= cols {
-                                    break;
-                                }
-                                let v = tile[lr * bc + lc];
-                                if v == T::ZERO {
-                                    continue;
-                                }
-                                let brow = b.row(col);
-                                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                                    *cv += v * bv;
-                                }
+                        // Gather-outer: explicit-zero skipping and the
+                        // tile-edge test leave the inner loop.
+                        for lc in 0..bc {
+                            let col = bcol * bc + lc;
+                            if col >= cols {
+                                break;
                             }
-                        } else {
-                            // Gather-outer: explicit-zero skipping and
-                            // the tile-edge test leave the inner loop.
-                            for lc in 0..bc {
-                                let col = bcol * bc + lc;
-                                if col >= cols {
-                                    break;
-                                }
-                                let v = tile[lr * bc + lc];
-                                if v == T::ZERO {
-                                    continue;
-                                }
-                                gather.push(v, b.row(col));
-                                if gather.full(k_block) {
-                                    gather.flush_into(lanes, crow, 0);
-                                }
+                            let v = tile[lr * bc + lc];
+                            if v == T::ZERO {
+                                continue;
+                            }
+                            gather.push(v, b.row(col));
+                            if gather.full(k_block) {
+                                gather.flush_into(lanes, crow, 0);
                             }
                         }
                     }

@@ -37,8 +37,7 @@ use lf_cell::{Bucket, CellMatrix};
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
 use lf_sim::parallel::{
-    default_workers, parallel_for, parallel_for_init, parallel_for_scoped, parallel_map_init,
-    DisjointSlice,
+    default_workers, parallel_for, parallel_for_init, parallel_map_init, DisjointSlice,
 };
 use lf_sim::shadow::ShadowRegion;
 use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
@@ -409,45 +408,6 @@ impl<T: AtomicScalar> CellKernel<T> {
         Ok(c)
     }
 
-    /// The pre-engine numeric path: one scoped spawn/join parallel region
-    /// **per bucket**, a fresh `vec![T::ZERO; j]` accumulator per row,
-    /// and atomic accumulation for every output element. Kept as the
-    /// baseline the execution-engine benchmarks and equivalence tests
-    /// compare against (`results/bench_spmm.json`).
-    pub fn run_legacy(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-        self.check_shape(b)?;
-        let (rows, _) = self.cell.shape();
-        let j = b.cols();
-        let mut c = DenseMatrix::zeros(rows, j);
-        {
-            let cells = T::as_cells(c.as_mut_slice());
-            for part in self.cell.partitions() {
-                for bucket in &part.buckets {
-                    let w = bucket.width;
-                    parallel_for_scoped(bucket.num_rows(), default_workers(), |bi| {
-                        let out_row = bucket.row_ind[bi] as usize;
-                        let mut acc = vec![T::ZERO; j];
-                        for k in 0..w {
-                            let col = bucket.col_ind[bi * w + k];
-                            if col == ELL_PAD {
-                                continue;
-                            }
-                            let a = bucket.values[bi * w + k];
-                            let brow = b.row(col as usize);
-                            for (jj, &bv) in brow.iter().enumerate() {
-                                acc[jj] += a * bv;
-                            }
-                        }
-                        for (jj, &v) in acc.iter().enumerate() {
-                            T::atomic_add(&cells[out_row * j + jj], v);
-                        }
-                    });
-                }
-            }
-        }
-        Ok(c)
-    }
-
     /// Flatten all `(partition, bucket, GPU-block)` triples for the
     /// analytic path.
     fn analytic_items(&self, j: usize) -> Vec<AnalyticItem<'_, T>> {
@@ -585,9 +545,6 @@ mod tests {
             let got = k.run(&b).unwrap();
             let want = csr.spmm_reference(&b).unwrap();
             assert!(got.approx_eq(&want, 1e-9), "cfg={cfg:?} J={j}");
-            // The pre-engine path stays equivalent.
-            let legacy = k.run_legacy(&b).unwrap();
-            assert!(legacy.approx_eq(&want, 1e-9), "legacy cfg={cfg:?} J={j}");
         }
     }
 
@@ -752,7 +709,6 @@ mod tests {
         let csr = CsrMatrix::from_coo(&uniform_random::<f64>(10, 10, 30, &mut rng));
         let k = CellKernel::new(build_cell(&csr, &CellConfig::default()).unwrap());
         assert!(k.run(&DenseMatrix::<f64>::zeros(7, 3)).is_err());
-        assert!(k.run_legacy(&DenseMatrix::<f64>::zeros(7, 3)).is_err());
     }
 
     #[test]

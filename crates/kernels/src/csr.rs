@@ -2,7 +2,7 @@
 //! (naive scalar, cuSPARSE-like vector, dgSPARSE/GE-SpMM, Sputnik).
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, Lanes, TileParams};
+use crate::simd::{Gather, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -12,12 +12,11 @@ use lf_sparse::{CsrMatrix, DenseMatrix, Result, SparseError};
 
 /// Row-parallel CSR SpMM with an explicit execution tile. Each output
 /// row has exactly one writer, so workers accumulate straight into their
-/// disjoint `C` rows — no atomics, no per-row scratch allocation. With
-/// `Lanes::Scalar` the loop shape is the original element-wise engine;
-/// any wider lane mode gathers each row's `(coeff, B-row)` pairs in
-/// `k_block` chunks and applies them as register-blocked strip sweeps.
-/// Per-element accumulation order is ascending-k either way, so all
-/// modes are bitwise identical.
+/// disjoint `C` rows — no atomics, no per-row scratch allocation. Each
+/// row's `(coeff, B-row)` pairs are gathered in `k_block` chunks and
+/// applied through the shared microkernel; per-element accumulation
+/// order is ascending-k in every lane mode, so all modes are bitwise
+/// identical.
 pub(crate) fn parallel_csr_spmm_tiled<T: AtomicScalar>(
     csr: &CsrMatrix<T>,
     b: &DenseMatrix<T>,
@@ -40,24 +39,14 @@ pub(crate) fn parallel_csr_spmm_tiled<T: AtomicScalar>(
             // SAFETY: `parallel_for` hands each row index to exactly one
             // worker, so the `i * j .. (i + 1) * j` windows never overlap.
             let crow = unsafe { out.slice_mut(i * j, j) };
-            if lanes == Lanes::Scalar {
-                // The pre-SIMD engine, loop shape unchanged.
-                for (&k, &a) in csr.row_cols(i).iter().zip(csr.row_values(i)) {
-                    let brow = b.row(k as usize);
-                    for (cv, &bv) in crow.iter_mut().zip(brow) {
-                        *cv += a * bv;
-                    }
+            let mut gather: Gather<'_, T> = Gather::new();
+            for (&k, &a) in csr.row_cols(i).iter().zip(csr.row_values(i)) {
+                gather.push(a, b.row(k as usize));
+                if gather.full(k_block) {
+                    gather.flush_into(lanes, crow, 0);
                 }
-            } else {
-                let mut gather: Gather<'_, T> = Gather::new();
-                for (&k, &a) in csr.row_cols(i).iter().zip(csr.row_values(i)) {
-                    gather.push(a, b.row(k as usize));
-                    if gather.full(k_block) {
-                        gather.flush_into(lanes, crow, 0);
-                    }
-                }
-                gather.flush_into(lanes, crow, 0);
             }
+            gather.flush_into(lanes, crow, 0);
         });
     }
     Ok(c)

@@ -3,7 +3,7 @@
 //! compute/traffic — the inefficiency CELL's buckets remove.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, Lanes, TileParams};
+use crate::simd::{Gather, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -63,34 +63,20 @@ impl<T: AtomicScalar> EllKernel<T> {
             parallel_for(rows, default_workers(), |i| {
                 // SAFETY: each row index goes to exactly one worker.
                 let crow = unsafe { out.slice_mut(i * j, j) };
-                if lanes == Lanes::Scalar {
-                    // The pre-SIMD engine, loop shape unchanged.
-                    for w in 0..width {
-                        let (col, val) = self.ell.slot(i, w);
-                        if col == ELL_PAD {
-                            break;
-                        }
-                        let brow = b.row(col as usize);
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += val * bv;
-                        }
+                // Gather-outer: the PAD break and slot walk leave the
+                // inner loop; strips sweep per k-block.
+                let mut gather: Gather<'_, T> = Gather::new();
+                for w in 0..width {
+                    let (col, val) = self.ell.slot(i, w);
+                    if col == ELL_PAD {
+                        break;
                     }
-                } else {
-                    // Gather-outer: the PAD break and slot walk leave
-                    // the inner loop; strips sweep per k-block.
-                    let mut gather: Gather<'_, T> = Gather::new();
-                    for w in 0..width {
-                        let (col, val) = self.ell.slot(i, w);
-                        if col == ELL_PAD {
-                            break;
-                        }
-                        gather.push(val, b.row(col as usize));
-                        if gather.full(k_block) {
-                            gather.flush_into(lanes, crow, 0);
-                        }
+                    gather.push(val, b.row(col as usize));
+                    if gather.full(k_block) {
+                        gather.flush_into(lanes, crow, 0);
                     }
-                    gather.flush_into(lanes, crow, 0);
                 }
+                gather.flush_into(lanes, crow, 0);
             });
         }
         Ok(c)

@@ -5,7 +5,7 @@
 //! similar length from across the matrix the way CELL buckets do.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, Lanes, TileParams};
+use crate::simd::{Gather, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -71,34 +71,19 @@ impl<T: AtomicScalar> SellKernel<T> {
                     // SAFETY: each slice (hence each row) goes to exactly
                     // one worker.
                     let crow = unsafe { out.slice_mut(row * j, j) };
-                    if lanes == Lanes::Scalar {
-                        // The pre-SIMD engine, loop shape unchanged.
-                        for k in 0..slice.width {
-                            let col = slice.col_ind[local * slice.width + k];
-                            if col == ELL_PAD {
-                                break;
-                            }
-                            let a = slice.values[local * slice.width + k];
-                            let brow = b.row(col as usize);
-                            for (cv, &bv) in crow.iter_mut().zip(brow) {
-                                *cv += a * bv;
-                            }
+                    // Gather-outer: PAD break and slot walk leave the
+                    // inner loop; strips sweep per k-block.
+                    for k in 0..slice.width {
+                        let col = slice.col_ind[local * slice.width + k];
+                        if col == ELL_PAD {
+                            break;
                         }
-                    } else {
-                        // Gather-outer: PAD break and slot walk leave the
-                        // inner loop; strips sweep per k-block.
-                        for k in 0..slice.width {
-                            let col = slice.col_ind[local * slice.width + k];
-                            if col == ELL_PAD {
-                                break;
-                            }
-                            gather.push(slice.values[local * slice.width + k], b.row(col as usize));
-                            if gather.full(k_block) {
-                                gather.flush_into(lanes, crow, 0);
-                            }
+                        gather.push(slice.values[local * slice.width + k], b.row(col as usize));
+                        if gather.full(k_block) {
+                            gather.flush_into(lanes, crow, 0);
                         }
-                        gather.flush_into(lanes, crow, 0);
                     }
+                    gather.flush_into(lanes, crow, 0);
                 }
             });
         }

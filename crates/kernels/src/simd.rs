@@ -8,16 +8,16 @@
 //! microkernel sweeps the output strip once, keeping a wide strip of
 //! accumulators in registers across the whole block — the k-blocking
 //! that lets a block of `B` rows stream through L1 exactly once per
-//! `j_tile` instead of once per accumulator load/store.
+//! `j_tile` instead of once per accumulator load/store. Every kernel
+//! has exactly one numeric loop: gather, then [`Gather::flush_into`].
 //!
 //! # Lane modes and dispatch
 //!
 //! Three shapes share the same arithmetic:
 //!
-//! * [`Lanes::Scalar`] — the kernels keep their original element-wise
-//!   loops (the pre-SIMD engine, byte-for-byte the same code shape),
-//!   except CELL, which runs its one numeric loop through the 1-lane
-//!   instantiation of the same microkernel;
+//! * [`Lanes::Scalar`] — the one-lane arm: an element-wise sweep, one
+//!   gathered `B` row at a time across the whole strip (the shape
+//!   `lf_sim::calibrate` times as its scalar axpy);
 //! * [`Lanes::X4`] / [`Lanes::X8`] — explicit 4/8-lane unrolled strips
 //!   the autovectorizer lowers to full-width vector code; on x86_64
 //!   with AVX2 detected at runtime the same generic body is entered
@@ -25,9 +25,9 @@
 //!   `f32` strips use 256-bit registers even though the crate's
 //!   baseline codegen is SSE2.
 //!
-//! [`Lanes::Auto`] resolves to the widest shape the machine supports.
-//! Setting `LF_SIMD=off` (or `0` / `scalar`) forces **every** resolution
-//! to `Scalar` — the escape hatch back to the pre-SIMD engine.
+//! [`Lanes::Auto`] resolves to the widest shape the machine supports;
+//! a caller that wants the one-lane arm asks for it explicitly with
+//! `TileParams::with_lanes(Lanes::Scalar)`.
 //!
 //! # Bitwise determinism
 //!
@@ -37,11 +37,10 @@
 //! element's own reduction order), and no mode uses fused
 //! multiply-add. All lane modes therefore produce **bitwise identical**
 //! results on single-writer paths — the property
-//! `engine_edge_cases::simd_and_scalar_paths_agree_bitwise` and the
-//! differential fuzzer pin down.
+//! `engine_edge_cases::scalar_and_wide_tiles_agree_for_every_kernel` and
+//! the differential fuzzer pin down.
 
 use lf_sparse::Scalar;
-use std::sync::OnceLock;
 
 /// Maximum gathered non-zeros per [`accumulate_block`] call. Gather
 /// buffers are fixed stack arrays of this size; the tile search only
@@ -51,10 +50,9 @@ pub const MAX_K_BLOCK: usize = 32;
 /// Vector lane shape of the microkernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lanes {
-    /// Resolve to the widest available shape at kernel entry
-    /// (respecting `LF_SIMD=off`).
+    /// Resolve to the widest available shape at kernel entry.
     Auto,
-    /// Original element-wise loops (the pre-SIMD engine).
+    /// The one-lane arm: an element-wise sweep per gathered row.
     Scalar,
     /// 4-lane unrolled strips.
     X4,
@@ -73,29 +71,13 @@ impl Lanes {
         }
     }
 
-    /// Resolve `Auto` to a concrete shape for element type `T` and
-    /// apply the `LF_SIMD=off` escape hatch to every variant.
+    /// Resolve `Auto` to a concrete shape for element type `T`.
     pub fn resolve<T: Scalar>(self) -> Lanes {
-        if !simd_enabled() {
-            return Lanes::Scalar;
-        }
         match self {
             Lanes::Auto => dispatched_lanes::<T>(),
             other => other,
         }
     }
-}
-
-/// Whether the SIMD paths are enabled (`LF_SIMD` unset or anything but
-/// `off` / `0` / `scalar`). Read once per process.
-pub fn simd_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("LF_SIMD").as_deref(),
-            Ok("off") | Ok("0") | Ok("scalar")
-        )
-    })
 }
 
 /// Whether the AVX2 `#[target_feature]` clones are usable on this CPU.
@@ -115,9 +97,6 @@ pub fn avx2_available() -> bool {
 /// machine: 8 `f32` lanes fill a 256-bit register, 8 `f64` lanes would
 /// spill accumulator strips, so doubles cap at 4 lanes.
 pub fn dispatched_lanes<T: Scalar>() -> Lanes {
-    if !simd_enabled() {
-        return Lanes::Scalar;
-    }
     if std::mem::size_of::<T>() <= 4 && avx2_available() {
         Lanes::X8
     } else {
@@ -259,25 +238,6 @@ unsafe fn block_body<T: Scalar, const LANES: usize, const GROUPS: usize>(
     }
 }
 
-/// The rejected FMA variant of the scalar tail, kept (unused) as the
-/// determinism rule's seeded bug: `mul_add` keeps the infinitely
-/// precise product, so its result differs from the plain
-/// mul-then-add path in the last ulp and the batched-vs-solo bitwise
-/// property breaks. `crates/check/tests/lint_rules.rs` runs the lint
-/// with suppressions ignored and asserts the `determinism` rule
-/// rediscovers this line.
-#[allow(dead_code)]
-fn scalar_tail_fma_reverted(acc: &mut [f64], coeffs: &[f64], rows: &[&[f64]], offset: usize) {
-    for (s, slot) in acc.iter_mut().enumerate() {
-        let mut r = *slot;
-        for (a, row) in coeffs.iter().zip(rows) {
-            // lf-lint: allow(determinism): seeded FMA, never called; regression-tested via --no-suppress
-            r = a.mul_add(row[offset + s], r);
-        }
-        *slot = r;
-    }
-}
-
 /// The same generic body entered with AVX2 codegen: LLVM re-lowers the
 /// lane arrays onto 256-bit registers. No FMA is enabled — fused
 /// multiply-adds would change result bits vs. the scalar path.
@@ -320,10 +280,14 @@ pub unsafe fn accumulate_block<T: Scalar>(
 ) {
     match lanes {
         Lanes::Scalar | Lanes::Auto => {
-            // The scalar fallback still block-gathers (callers share one
-            // code path) but sweeps element-wise.
-            // SAFETY: forwarded caller contract.
-            unsafe { block_body::<T, 1, 1>(acc, coeffs, rows, offset) }
+            // One gathered row at a time across the whole strip: per
+            // element the same products in the same ascending-i order
+            // as the strip arms.
+            for (&a, row) in coeffs.iter().zip(rows) {
+                for (cv, &bv) in acc.iter_mut().zip(&row[offset..]) {
+                    *cv += a * bv;
+                }
+            }
         }
         Lanes::X4 => {
             #[cfg(target_arch = "x86_64")]
@@ -451,21 +415,31 @@ mod tests {
 
     #[test]
     fn all_lane_modes_match_reference_order_bitwise() {
-        for (n, offset, kb) in [(1, 0, 1), (7, 0, 3), (64, 0, 32), (65, 16, 5), (130, 3, 32)] {
-            let rows_owned = mk_rows(kb, offset + n, 42 + n as u64);
+        let check = |n: usize, offset: usize, kb: usize| {
+            let rows_owned = mk_rows(kb, offset + n, 42 + (n * 64 + kb) as u64);
             let rows: Vec<&[f64]> = rows_owned.iter().map(|r| r.as_slice()).collect();
             let coeffs: Vec<f64> = (0..kb).map(|i| (i as f64 - 1.5) * 0.75).collect();
             let mut want = vec![0.25f64; n];
             // The reference applies ascending i per element — the exact
             // contract order.
             reference(&mut want, &coeffs, &rows, offset);
+            let exp: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
             for lanes in [Lanes::Scalar, Lanes::X4, Lanes::X8] {
                 let mut acc = vec![0.25f64; n];
                 // SAFETY: rows are offset + n long by construction.
                 unsafe { accumulate_block(lanes, &mut acc, &coeffs, &rows, offset) };
                 let got: Vec<u64> = acc.iter().map(|v| v.to_bits()).collect();
-                let exp: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(got, exp, "lanes={lanes:?} n={n} offset={offset} kb={kb}");
+            }
+        };
+        for (n, offset, kb) in [(1, 0, 1), (7, 0, 3), (64, 0, 32), (65, 16, 5), (130, 3, 32)] {
+            check(n, offset, kb);
+        }
+        // The one-lane arm at every k-block depth, on odd strip lengths
+        // that leave remainders in both wide arms' strip and group loops.
+        for kb in 1..=MAX_K_BLOCK {
+            for (n, offset) in [(1, 0), (3, 2), (9, 0), (31, 1), (71, 4)] {
+                check(n, offset, kb);
             }
         }
     }
@@ -540,10 +514,6 @@ mod tests {
             let rd = lanes.resolve::<f64>();
             assert_ne!(rf, Lanes::Auto);
             assert_ne!(rd, Lanes::Auto);
-            if !simd_enabled() {
-                assert_eq!(rf, Lanes::Scalar);
-                assert_eq!(rd, Lanes::Scalar);
-            }
         }
     }
 }

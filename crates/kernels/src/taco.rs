@@ -4,7 +4,7 @@
 //! paper sweeps 6 × 6 schedules and keeps the fastest (§7.1).
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, Lanes, TileParams};
+use crate::simd::{Gather, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -168,54 +168,30 @@ impl<T: AtomicScalar> TacoKernel<T> {
                     let lo = s * seg;
                     let hi = ((s + 1) * seg).min(nnz);
                     let mut cur_row = u32::MAX;
-                    if lanes == Lanes::Scalar {
-                        for p in lo..hi {
-                            let r = self.row_of_nnz[p];
-                            if r != cur_row {
-                                if cur_row != u32::MAX {
-                                    flush(cells, cur_row, acc, lo, hi);
-                                }
-                                acc.fill(T::ZERO);
-                                cur_row = r;
-                            }
-                            let brow = b.row(cols[p] as usize);
-                            let a = vals[p];
-                            for (jj, &bv) in brow.iter().enumerate() {
-                                acc[jj] += a * bv;
-                            }
-                        }
-                        if cur_row != u32::MAX {
-                            flush(cells, cur_row, acc, lo, hi);
-                            acc.fill(T::ZERO);
-                        }
-                    } else {
-                        // Runs of same-row non-zeros are gathered into
-                        // k-blocks and drained through the strip
-                        // microkernel; the accumulation order over a
-                        // row's non-zeros stays ascending in `p`, so the
-                        // per-element sum matches the scalar loop
-                        // bitwise.
-                        let mut gather = Gather::new();
-                        for p in lo..hi {
-                            let r = self.row_of_nnz[p];
-                            if r != cur_row {
-                                if cur_row != u32::MAX {
-                                    gather.flush_into(lanes, acc, 0);
-                                    flush(cells, cur_row, acc, lo, hi);
-                                }
-                                acc.fill(T::ZERO);
-                                cur_row = r;
-                            }
-                            gather.push(vals[p], b.row(cols[p] as usize));
-                            if gather.full(k_block) {
+                    // Runs of same-row non-zeros are gathered into
+                    // k-blocks and drained through the microkernel; the
+                    // accumulation order over a row's non-zeros stays
+                    // ascending in `p` in every lane mode.
+                    let mut gather = Gather::new();
+                    for p in lo..hi {
+                        let r = self.row_of_nnz[p];
+                        if r != cur_row {
+                            if cur_row != u32::MAX {
                                 gather.flush_into(lanes, acc, 0);
+                                flush(cells, cur_row, acc, lo, hi);
                             }
-                        }
-                        if cur_row != u32::MAX {
-                            gather.flush_into(lanes, acc, 0);
-                            flush(cells, cur_row, acc, lo, hi);
                             acc.fill(T::ZERO);
+                            cur_row = r;
                         }
+                        gather.push(vals[p], b.row(cols[p] as usize));
+                        if gather.full(k_block) {
+                            gather.flush_into(lanes, acc, 0);
+                        }
+                    }
+                    if cur_row != u32::MAX {
+                        gather.flush_into(lanes, acc, 0);
+                        flush(cells, cur_row, acc, lo, hi);
+                        acc.fill(T::ZERO);
                     }
                 },
             );

@@ -124,11 +124,11 @@ fn atomic_free_paths_are_bitwise_deterministic() {
 /// The SIMD engine contract: for every kernel, every lane mode and tile
 /// shape accumulates each output element in the same ascending-k order
 /// as the original scalar loop, so on atomic-free paths the results are
-/// **bitwise** identical — the `LF_SIMD=off` escape hatch can never
-/// change an answer. TACO's segment-boundary atomics are
-/// scheduling-order nondeterministic and held to the suite's 1e-9
-/// bound; folded/multi-partition CELL runs on single-writer row bands
-/// and is held to bitwise equality like every other kernel.
+/// **bitwise** identical — the lane choice can never change an answer.
+/// TACO's segment-boundary atomics are scheduling-order nondeterministic
+/// and held to the suite's 1e-9 bound; folded/multi-partition CELL runs
+/// on single-writer row bands and is held to bitwise equality like every
+/// other kernel.
 #[test]
 fn scalar_and_wide_tiles_agree_for_every_kernel() {
     let mut rng = Pcg32::seed_from_u64(0xE5);
@@ -303,8 +303,5 @@ proptest! {
         let want = csr.spmm_reference(&b).unwrap();
         prop_assert!(fast.approx_eq(&want, 1e-9));
         prop_assert!(forced.approx_eq(&want, 1e-9));
-        // The legacy engine is a third independent oracle.
-        let legacy = k.run_legacy(&b).unwrap();
-        prop_assert!(legacy.approx_eq(&want, 1e-9));
     }
 }

@@ -248,30 +248,6 @@ impl<T: Scalar> BatchBoard<T> {
         st.total_j = 0;
         std::mem::take(&mut st.joiners)
     }
-
-    /// The pre-PR-6 close order, kept (unused) as the lock-order rule's
-    /// seeded bug: it takes `group.state` *first* and only then the
-    /// board lock — the exact inversion against `admit` (board →
-    /// group) that could deadlock a closing leader against a joining
-    /// member. `crates/check/tests/lint_rules.rs` runs the lint with
-    /// suppressions ignored and asserts the `lock-order` rule
-    /// rediscovers this acquisition pair, the same way the model
-    /// checker rediscovers the PR-2 use-after-free.
-    #[allow(dead_code)]
-    pub(crate) fn close_reverted(
-        &self,
-        fp: &Fingerprint,
-        group: &Arc<BatchGroup<T>>,
-    ) -> Vec<Member<T>> {
-        let mut st = lock(&group.state);
-        // lf-lint: allow(lock-order): seeded inversion, never called; regression-tested via --no-suppress
-        let mut open = lock(&self.open);
-        if open.get(fp).is_some_and(|g| Arc::ptr_eq(g, group)) {
-            open.remove(fp);
-        }
-        st.total_j = 0;
-        std::mem::take(&mut st.joiners)
-    }
 }
 
 /// Drop guard over a closed group's joiners: any slot still unsettled

@@ -69,8 +69,9 @@ fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Scalar accumulate: the exact shape of the kernels' pre-SIMD inner
-/// loops.
+/// Scalar accumulate: the exact shape of the microkernel's one-lane arm
+/// (`Lanes::Scalar` in `lf_kernels::simd`), one gathered row swept
+/// element-wise across the strip.
 fn axpy_scalar(acc: &mut [f32], a: f32, b: &[f32]) {
     for (cv, &bv) in acc.iter_mut().zip(b) {
         *cv += a * bv;

@@ -1,10 +1,8 @@
 //! Data-parallel primitives for the kernels' numeric path.
 //!
 //! All entry points dispatch onto the persistent [`crate::pool`] worker
-//! pool (spawned once per process) with atomic-counter dynamic chunked
-//! self-scheduling; the original scoped-thread path survives as an
-//! explicit fallback ([`parallel_for_scoped`], or `LF_POOL=off`) and as
-//! the baseline the execution-engine benchmarks compare against.
+//! pool (spawned once per process, sized by `LF_POOL_WORKERS`) with
+//! atomic-counter dynamic chunked self-scheduling.
 //!
 //! The primitives:
 //!
@@ -24,33 +22,19 @@
 //! [`crate::cancel::with_token`]), the region checks it between chunks
 //! and returns early once it fires — the caller must then discard the
 //! partial output. `parallel_map*` regions shield themselves from
-//! cancellation (their `set_len` requires every slot initialized), and
-//! the scoped fallback path is likewise uncancellable.
+//! cancellation (their `set_len` requires every slot initialized).
 
 use crate::cancel;
 use crate::pool;
 use crate::shadow::ShadowRegion;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 /// Default worker count: one per available core, at least 1.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Whether dispatch uses the persistent pool (default) or falls back to
-/// scoped threads (`LF_POOL=off|0|scoped`).
-fn pool_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("LF_POOL").as_deref(),
-            Ok("off") | Ok("0") | Ok("scoped")
-        )
-    })
 }
 
 /// Chunk size for dynamic self-scheduling: ~16 chunks per worker keeps
@@ -124,51 +108,7 @@ where
             }
         }
     };
-    if pool_enabled() {
-        pool::global().broadcast(workers - 1, &executor);
-    } else {
-        scoped_broadcast(workers, &executor);
-    }
-}
-
-/// The pre-pool execution path: run `f` on the calling thread plus
-/// `workers - 1` freshly spawned scoped threads. Kept as a fallback and
-/// as the baseline engine for benchmark comparisons.
-pub fn parallel_for_scoped<F>(n: usize, workers: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let workers = workers.max(1).min(n);
-    if workers == 1 {
-        for i in 0..n {
-            body(i);
-        }
-        return;
-    }
-    let chunk = chunk_size(n, workers);
-    let counter = AtomicUsize::new(0);
-    scoped_broadcast(workers, &|| loop {
-        let start = counter.fetch_add(chunk, Ordering::Relaxed);
-        if start >= n {
-            break;
-        }
-        let end = (start + chunk).min(n);
-        for i in start..end {
-            body(i);
-        }
-    });
-}
-
-fn scoped_broadcast(workers: usize, f: &(dyn Fn() + Sync)) {
-    std::thread::scope(|s| {
-        for _ in 1..workers {
-            s.spawn(f);
-        }
-        f();
-    });
+    pool::global().broadcast(workers - 1, &executor);
 }
 
 /// Parallel map over `0..n` collecting results in index order.
@@ -328,19 +268,8 @@ mod tests {
     }
 
     #[test]
-    fn scoped_fallback_covers_every_index() {
-        let n = 10_000;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        parallel_for_scoped(n, 8, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn zero_iterations() {
         parallel_for(0, 8, |_| panic!("must not run"));
-        parallel_for_scoped(0, 8, |_| panic!("must not run"));
     }
 
     #[test]

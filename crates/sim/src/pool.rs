@@ -13,7 +13,7 @@
 //! * [`ThreadPool::broadcast`] runs one closure on the calling thread
 //!   *and* on up to `helpers` pool workers; every participant pulls
 //!   chunks from the caller's shared atomic counter, so work distribution
-//!   stays the same dynamic self-scheduling the scoped path used.
+//!   is dynamic self-scheduling.
 //! * The job slot holds a type-erased pointer to the caller's closure.
 //!   The caller never returns before every joined worker has exited the
 //!   closure (a per-job active-count latch), which is what makes the

@@ -9,7 +9,7 @@
 #             bench_serve, and bench_update, all --quick at reduced
 #             sizes) that fails on catastrophic engine or serving-cache
 #             regressions, on the SIMD gather engine dropping below its
-#             1.2x geomean speedup floor over the forced-scalar engine,
+#             1.2x geomean speedup floor over the one-lane scalar arm,
 #             and on incremental CELL maintenance failing to beat a
 #             full rebuild 3x at <= 1% churn;
 #   --stress  appends the heavy differential/concurrency tier: the
@@ -68,9 +68,6 @@ cargo build --release
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
-
-echo "==> engine edge cases with the SIMD escape hatch (LF_SIMD=off)"
-LF_SIMD=off cargo test --release -p lf-kernels --test engine_edge_cases -q
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
