@@ -65,10 +65,14 @@ pub enum ChaosSite {
     /// stays on disk and must be refused (or ignored) on every future
     /// read, never served against the new epoch.
     StaleDiskRecord = 9,
+    /// The process "dies" with demotions still in the write-behind
+    /// queue: the demotion writer stops before its next batch, and the
+    /// queued plans never reach disk. A restart must come up clean.
+    DemoteQueuedKill = 10,
 }
 
 /// All sites, for iteration in harnesses and reports.
-pub const CHAOS_SITES: [ChaosSite; 10] = [
+pub const CHAOS_SITES: [ChaosSite; 11] = [
     ChaosSite::ComposePanic,
     ChaosSite::ExecutePanic,
     ChaosSite::AllocFail,
@@ -79,6 +83,7 @@ pub const CHAOS_SITES: [ChaosSite; 10] = [
     ChaosSite::UpdateTorn,
     ChaosSite::EpochSweepAbort,
     ChaosSite::StaleDiskRecord,
+    ChaosSite::DemoteQueuedKill,
 ];
 
 impl ChaosSite {
@@ -95,6 +100,7 @@ impl ChaosSite {
             ChaosSite::UpdateTorn => "update_torn",
             ChaosSite::EpochSweepAbort => "epoch_sweep_abort",
             ChaosSite::StaleDiskRecord => "stale_disk_record",
+            ChaosSite::DemoteQueuedKill => "demote_queued_kill",
         }
     }
 
@@ -112,6 +118,7 @@ impl ChaosSite {
             0x2f63_8c92_6e9f_3a11,
             0xd1b5_4a32_d192_ed03,
             0x8d90_fdb7_35c9_0b2d,
+            0x6a09_e667_f3bc_c909,
         ][self as usize]
     }
 }
@@ -124,7 +131,7 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// Injection rate per site, in per-mille (0..=1000), indexed by
     /// `ChaosSite as usize`.
-    pub permille: [u16; 10],
+    pub permille: [u16; 11],
 }
 
 impl ChaosPlan {
@@ -132,7 +139,7 @@ impl ChaosPlan {
     pub fn disabled(seed: u64) -> Self {
         ChaosPlan {
             seed,
-            permille: [0; 10],
+            permille: [0; 11],
         }
     }
 
@@ -140,7 +147,7 @@ impl ChaosPlan {
     pub fn uniform(seed: u64, permille: u16) -> Self {
         ChaosPlan {
             seed,
-            permille: [permille; 10],
+            permille: [permille; 11],
         }
     }
 
@@ -155,8 +162,8 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 static PLAN: Mutex<Option<ChaosPlan>> = Mutex::new(None);
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static DECISIONS: [AtomicU64; 10] = [ZERO; 10];
-static INJECTED: [AtomicU64; 10] = [ZERO; 10];
+static DECISIONS: [AtomicU64; 11] = [ZERO; 11];
+static INJECTED: [AtomicU64; 11] = [ZERO; 11];
 
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -4,11 +4,13 @@
 //! The serving stack's deadlock-freedom argument (PR 5/6) is a total
 //! order: `BatchBoard.open` → `BatchGroup.state` → `JoinSlot.state`,
 //! with the matrix-handle `RwLock`, the `PlanCache` shards (`cache.rs`),
-//! the plan store, and the planner's breaker map as *leaf* locks (nothing may be
-//! acquired while holding one), and the thread-pool job mutexes never
-//! nested under any serving lock. The bounded model checker proves
-//! specific interleavings; this rule proves the *shape*, statically,
-//! for every function — including ones no model scenario drives.
+//! the demotion queue, the plan store, and the planner's breaker map as
+//! *leaf* locks (nothing may be acquired while holding one), the
+//! demotion writer's batch lock ordered before the queue and the store,
+//! and the thread-pool job mutexes never nested under any serving lock.
+//! The bounded model checker proves specific interleavings; this rule
+//! proves the *shape*, statically, for every function — including ones
+//! no model scenario drives.
 //!
 //! Mechanics: for each non-test `fn` in `crates/{serve,sim,core,
 //! kernels}/src`, the rule extracts the guard-scope acquisition
@@ -68,6 +70,16 @@ const HANDLE: LockClass = LockClass {
 const SHARD: LockClass = LockClass {
     name: "cache shard",
     level: 40,
+    leaf: true,
+};
+const DEMOTE_WRITER: LockClass = LockClass {
+    name: "demotion writer",
+    level: 42,
+    leaf: false,
+};
+const DEMOTE_PENDING: LockClass = LockClass {
+    name: "demotion queue",
+    level: 44,
     leaf: true,
 };
 const STORE: LockClass = LockClass {
@@ -177,6 +189,10 @@ fn classify(path: &str, impl_ty: Option<&str>, recv: &str) -> Option<LockClass> 
         "shard()" if path.starts_with("crates/serve/") => Some(SHARD),
         "open" if path.starts_with("crates/serve/") => Some(BOARD),
         "shared" if path.starts_with("crates/serve/") => Some(HANDLE),
+        // `Disk::writing`, held for a whole demotion batch, and
+        // `Disk::pending`, the write-behind queue (cache.rs).
+        "writing" if path.starts_with("crates/serve/") => Some(DEMOTE_WRITER),
+        "pending" if path.starts_with("crates/serve/") => Some(DEMOTE_PENDING),
         "failures" => Some(BREAKER),
         "active" if in_pool => Some(POOL_ACTIVE),
         "panic" if in_pool => Some(POOL_PANIC),
@@ -220,7 +236,8 @@ impl Rule for LockOrder {
     }
     fn describe(&self) -> &'static str {
         "mutex acquisitions follow the declared BatchBoard→BatchGroup→JoinSlot hierarchy; \
-         handle/shards/store/breaker are leaves; nothing serving-side nests over pool mutexes"
+         handle/shards/demotion queue/store/breaker are leaves; the demotion writer lock \
+         precedes the queue and the store; nothing serving-side nests over pool mutexes"
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let fns = collect_fns(ws);

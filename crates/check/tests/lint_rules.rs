@@ -186,6 +186,29 @@ fn cache_shard_accessor_is_a_leaf() {
 }
 
 #[test]
+fn demotion_queue_is_a_leaf_under_the_writer_lock() {
+    let text = include_str!("lint_fixtures/demotion_queue.rs");
+    let report = lint_one("crates/serve/src/cache.rs", text, true);
+    assert_fires(
+        &report,
+        "lock-order",
+        "crates/serve/src/cache.rs",
+        line_of(text, "let w = lock(&self.writing);"),
+    );
+    // Writer lock, then queue, is the declared order.
+    assert_eq!(
+        report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "lock-order")
+            .count(),
+        1,
+        "unexpected lock-order findings: {:?}",
+        report.findings
+    );
+}
+
+#[test]
 fn mul_add_in_kernel_code_fires() {
     let text = include_str!("lint_fixtures/determinism.rs");
     let report = lint_one("crates/kernels/src/fixture.rs", text, true);

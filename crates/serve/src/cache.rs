@@ -10,17 +10,45 @@
 //!
 //! Each shard lock is a leaf: no other lock is taken while one is held,
 //! and disk I/O always runs after the shard lock is released.
+//!
+//! ## Write-behind demotion
+//!
+//! With a disk tier, an evicted plan does not reach disk on the thread
+//! whose admission evicted it. It goes into a byte-bounded pending map
+//! (bound: one shard's RAM slice), and one named background writer —
+//! not a pool worker, since it blocks in `fsync` — drains the map in
+//! batches: one record per queued plan, then one manifest rewrite per
+//! batch. Queued plans stay promotable: a RAM miss checks the queue
+//! before the disk and gets the evicted `Arc` back. The protocol:
+//!
+//! * an enqueue that would push the queue past its bound writes that
+//!   victim synchronously instead (back-pressure, never a drop), and
+//!   re-demoting a queued key replaces its entry;
+//! * the writer removes a key only after its write finished, and only
+//!   if the entry is still the same `Arc`; it skips poisoned slots;
+//! * retirement and quarantine purge their keys from the queue, then
+//!   take the writer's `writing` lock — waiting out any in-flight write
+//!   of those keys — before deleting from disk, so no retired or
+//!   poisoned record lands after its removal;
+//! * `flush_demotions` blocks until the queue is empty and its last
+//!   batch has rewritten the manifest; `snapshot` and `Drop` drain
+//!   through it. A kill may lose queued demotions, never expose a torn
+//!   or stale record.
+//!
+//! Lock order: `writing` (held for a whole batch) before the pending
+//! map and the store index, both leaves.
 
 use crate::config::ServeConfig;
 use crate::fingerprint::Fingerprint;
-use crate::lock;
 use crate::stats::{bump, ServeStats};
 use crate::store::{PlanStore, StoreConfig};
+use crate::{lock, wait};
 use lf_sim::atomicf::AtomicScalar;
 use liteform_core::{LfError, LfResult, PreparedPlan};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 
 /// A cache key: the matrix and the dense width its plan is tuned for.
 pub(crate) type Key = (Fingerprint, usize);
@@ -91,6 +119,211 @@ struct Counters {
     quarantined: AtomicU64,
 }
 
+impl Counters {
+    /// Count a finished demotion: every eviction it stands for is a
+    /// demotion when its record was written, dropped bytes otherwise.
+    fn settle_demotion<T: AtomicScalar>(&self, written: bool, q: &Queued<T>) {
+        if written {
+            bump(&self.demotions, q.evictions);
+        } else {
+            bump(&self.evicted_bytes, q.victim_bytes);
+        }
+    }
+}
+
+/// An evicted plan waiting in the write-behind queue.
+struct Queued<T: AtomicScalar> {
+    slot: Arc<PlanSlot<T>>,
+    /// The use count its record is written with.
+    uses: u64,
+    /// The plan's RAM bytes, charged against the queue bound.
+    bytes: usize,
+    /// Evictions this entry stands for: re-demoting a queued key folds
+    /// the earlier eviction into the new entry.
+    evictions: u64,
+    /// Their bytes, counted as dropped if no record is ever written.
+    victim_bytes: u64,
+}
+
+/// The write-behind queue (under `Disk::pending`, a leaf lock).
+struct Queue<T: AtomicScalar> {
+    map: HashMap<Key, Queued<T>>,
+    bytes: usize,
+    /// Set on drop: the writer drains what is queued, then exits.
+    shutdown: bool,
+    /// No writer runs (it exited, or never spawned): enqueues hand their
+    /// victim back for a synchronous write, and flushes return at once.
+    writer_gone: bool,
+}
+
+/// The disk tier and its write-behind queue, shared with the writer.
+struct Disk<T: AtomicScalar> {
+    store: PlanStore<T>,
+    pending: Mutex<Queue<T>>,
+    /// Wakes the writer when work arrives or on shutdown.
+    work: Condvar,
+    /// Wakes flushers when keys leave the queue.
+    idle: Condvar,
+    /// Held by the writer for a whole batch; retirement and quarantine
+    /// take it to wait out an in-flight write before deleting records.
+    writing: Mutex<()>,
+    /// Queue byte bound: one shard's RAM slice.
+    bound: usize,
+}
+
+/// Marks the writer gone when it exits, by return or by unwind, so no
+/// flush waits on a writer that will never drain.
+struct WriterExit<'a, T: AtomicScalar>(&'a Disk<T>);
+
+impl<T: AtomicScalar> Drop for WriterExit<'_, T> {
+    fn drop(&mut self) {
+        lock(&self.0.pending).writer_gone = true;
+        self.0.idle.notify_all();
+    }
+}
+
+impl<T: AtomicScalar> Disk<T> {
+    fn new(store: PlanStore<T>, bound: usize) -> Self {
+        Disk {
+            store,
+            pending: Mutex::new(Queue {
+                map: HashMap::new(),
+                bytes: 0,
+                shutdown: false,
+                writer_gone: false,
+            }),
+            work: Condvar::new(),
+            idle: Condvar::new(),
+            writing: Mutex::new(()),
+            bound,
+        }
+    }
+
+    /// Queue a demotion for the writer. `Err` hands the entry back for a
+    /// synchronous write: no writer runs, or it would push the queue
+    /// past its bound.
+    fn enqueue_demotion(&self, key: Key, mut entry: Queued<T>) -> Result<(), Queued<T>> {
+        let mut q = lock(&self.pending);
+        if q.writer_gone {
+            return Err(entry);
+        }
+        if let Some(old) = q.map.remove(&key) {
+            q.bytes -= old.bytes;
+            entry.evictions += old.evictions;
+            entry.victim_bytes += old.victim_bytes;
+        }
+        if q.bytes + entry.bytes > self.bound {
+            self.idle.notify_all();
+            return Err(entry);
+        }
+        q.bytes += entry.bytes;
+        q.map.insert(key, entry);
+        drop(q);
+        self.work.notify_one();
+        Ok(())
+    }
+
+    /// The queued plan for `key`, counted as one more use, with that
+    /// use count. The entry stays queued.
+    fn queued_plan(&self, key: &Key) -> Option<(Arc<PlanSlot<T>>, u64)> {
+        let mut q = lock(&self.pending);
+        let e = q.map.get_mut(key).filter(|e| !e.slot.is_poisoned())?;
+        e.uses += 1;
+        Some((Arc::clone(&e.slot), e.uses))
+    }
+
+    /// Take every queued entry whose key matches out of the queue.
+    fn purge_queued(&self, matches: impl Fn(&Key) -> bool) -> Vec<(Key, Queued<T>)> {
+        let mut q = lock(&self.pending);
+        let keys: Vec<Key> = q.map.keys().filter(|k| matches(k)).copied().collect();
+        let purged: Vec<(Key, Queued<T>)> = keys
+            .into_iter()
+            .filter_map(|k| q.map.remove(&k).map(|e| (k, e)))
+            .collect();
+        q.bytes -= purged.iter().map(|(_, e)| e.bytes).sum::<usize>();
+        self.idle.notify_all();
+        purged
+    }
+
+    /// Block until the queue is empty and the batch that emptied it has
+    /// rewritten the manifest (or until no writer runs).
+    fn flush_demotions(&self) {
+        let mut q = lock(&self.pending);
+        while !q.map.is_empty() && !q.writer_gone {
+            q = wait(&self.idle, q);
+        }
+        drop(q);
+        drop(lock(&self.writing));
+    }
+
+    /// The writer thread's body: drain batches until shutdown finds the
+    /// queue empty.
+    fn run_writer(&self, counters: &Counters) {
+        let _exit = WriterExit(self);
+        loop {
+            {
+                let mut q = lock(&self.pending);
+                while q.map.is_empty() && !q.shutdown {
+                    q = wait(&self.work, q);
+                }
+                if q.map.is_empty() {
+                    return;
+                }
+            }
+            #[cfg(feature = "chaos")]
+            {
+                use lf_check::chaos::{decide, ChaosSite};
+                if decide(ChaosSite::DemoteQueuedKill) {
+                    // Simulated kill with demotions queued: they never
+                    // reach disk, and what is on disk stays whole.
+                    return;
+                }
+            }
+            self.write_batch(counters);
+        }
+    }
+
+    /// Write everything queued — one record each, skipping poisoned
+    /// slots — then the manifest once.
+    fn write_batch(&self, counters: &Counters) {
+        let _writing = lock(&self.writing);
+        let batch: Vec<(Key, Arc<PlanSlot<T>>, u64)> = {
+            let q = lock(&self.pending);
+            q.map
+                .iter()
+                .map(|(k, e)| (*k, Arc::clone(&e.slot), e.uses))
+                .collect()
+        };
+        let mut wrote = false;
+        for ((fp, j), slot, uses) in batch {
+            let written = !slot.is_poisoned()
+                && self
+                    .store
+                    .put_record(&fp, j, &slot.plan, slot.cost_ns, uses)
+                    .is_ok();
+            wrote |= written;
+            let mut q = lock(&self.pending);
+            // Retirement, quarantine or a re-demotion may have taken the
+            // key meanwhile; the accounting is theirs then.
+            if q.map
+                .get(&(fp, j))
+                .is_some_and(|e| Arc::ptr_eq(&e.slot, &slot))
+            {
+                if let Some(e) = q.map.remove(&(fp, j)) {
+                    q.bytes -= e.bytes;
+                    drop(q);
+                    counters.settle_demotion(written, &e);
+                }
+            }
+        }
+        if wrote {
+            // Advisory metadata: a failed rewrite loses use counts only.
+            let _ = self.store.write_manifest();
+        }
+        self.idle.notify_all();
+    }
+}
+
 /// The two-tier plan cache; see the module docs.
 pub(crate) struct PlanCache<T: AtomicScalar> {
     shards: Vec<Mutex<Shard<T>>>,
@@ -98,10 +331,13 @@ pub(crate) struct PlanCache<T: AtomicScalar> {
     shard_budget: usize,
     /// Logical clock for LRU recency; bumped on every touch.
     tick: AtomicU64,
-    /// The disk tier (`None` when `store_dir` is unset or the directory
-    /// could not be opened — the cache then runs RAM-only).
-    store: Option<PlanStore<T>>,
-    counters: Counters,
+    /// The disk tier and its write-behind queue (`None` when `store_dir`
+    /// is unset or the directory could not be opened — the cache then
+    /// runs RAM-only).
+    disk: Option<Arc<Disk<T>>>,
+    /// The demotion writer draining `disk`'s queue.
+    writer: Option<JoinHandle<()>>,
+    counters: Arc<Counters>,
 }
 
 impl<T: AtomicScalar> PlanCache<T> {
@@ -119,6 +355,20 @@ impl<T: AtomicScalar> PlanCache<T> {
             })
             .ok()
         });
+        let shard_budget = (config.byte_budget / shards).max(1);
+        let counters = Arc::new(Counters::default());
+        let disk = store.map(|store| Arc::new(Disk::new(store, shard_budget)));
+        let writer = disk.as_ref().and_then(|disk| {
+            let (d, c) = (Arc::clone(disk), Arc::clone(&counters));
+            let spawned = std::thread::Builder::new()
+                .name("lf-demote".into())
+                .spawn(move || d.run_writer(&c));
+            if spawned.is_err() {
+                // No writer: every demotion is written synchronously.
+                lock(&disk.pending).writer_gone = true;
+            }
+            spawned.ok()
+        });
         let cache = PlanCache {
             shards: (0..shards)
                 .map(|_| {
@@ -128,10 +378,11 @@ impl<T: AtomicScalar> PlanCache<T> {
                     })
                 })
                 .collect(),
-            shard_budget: (config.byte_budget / shards).max(1),
+            shard_budget,
             tick: AtomicU64::new(0),
-            store,
-            counters: Counters::default(),
+            disk,
+            writer,
+            counters,
         };
         cache.warm_from_disk(config.byte_budget);
         cache
@@ -148,7 +399,7 @@ impl<T: AtomicScalar> PlanCache<T> {
     /// Every record is strictly re-validated by [`PlanStore::get`];
     /// rejections count in `warm_rejected` and the record is deleted.
     fn warm_from_disk(&self, budget: usize) {
-        let Some(store) = &self.store else { return };
+        let Some(store) = self.store() else { return };
         // Files the store already swept at open (unreadable header) are
         // rejections too — same contract: skipped, counted, not served.
         bump(&self.counters.warm_rejected, store.swept_corrupt() as u64);
@@ -193,14 +444,22 @@ impl<T: AtomicScalar> PlanCache<T> {
         bump(class, 1);
     }
 
+    /// The disk tier's record store, when one is open.
+    fn store(&self) -> Option<&PlanStore<T>> {
+        self.disk.as_ref().map(|d| &d.store)
+    }
+
     /// Persist every cached RAM plan to the disk tier and rewrite the
     /// manifest. Returns the number of plans written (`Ok(0)` without a
-    /// store). Poisoned slots are skipped: a quarantined plan must never
-    /// resurrect through a snapshot.
+    /// store). Queued demotions drain through the writer first, never
+    /// here: writing them here would race it on the same keys. Poisoned
+    /// slots are skipped: a quarantined plan must never resurrect
+    /// through a snapshot.
     pub(crate) fn snapshot(&self) -> LfResult<usize> {
-        let Some(store) = &self.store else {
+        let Some(disk) = &self.disk else {
             return Ok(0);
         };
+        disk.flush_demotions();
         // Clone the Arcs out under each shard lock, write behind.
         let mut plans = Vec::new();
         for shard in &self.shards {
@@ -212,14 +471,25 @@ impl<T: AtomicScalar> PlanCache<T> {
             }
         }
         for ((fp, j), slot, uses) in &plans {
-            store.put(fp, *j, &slot.plan, slot.cost_ns, *uses)?;
+            disk.store
+                .put_record(fp, *j, &slot.plan, slot.cost_ns, *uses)?;
         }
+        disk.store.write_manifest()?;
         Ok(plans.len())
+    }
+
+    /// Block until every queued demotion has been written (or dropped,
+    /// if its write failed) and the manifest rewritten. A no-op without
+    /// a disk tier.
+    pub(crate) fn flush_demotions(&self) {
+        if let Some(disk) = &self.disk {
+            disk.flush_demotions();
+        }
     }
 
     /// The disk tier's placement-policy name, when a store is open.
     pub(crate) fn store_policy(&self) -> Option<&'static str> {
-        self.store.as_ref().map(|s| s.policy_name())
+        self.store().map(|s| s.policy_name())
     }
 
     /// The cached plan for `key`, touching its recency. A poisoned entry
@@ -239,14 +509,24 @@ impl<T: AtomicScalar> PlanCache<T> {
         None
     }
 
-    /// Answer a RAM miss from the disk tier. A validated record is
-    /// decoded, counted (`disk_hits`), and re-admitted into RAM
+    /// Answer a RAM miss from the disk tier: the write-behind queue
+    /// first, then the store. A queued plan is the evicted `Arc` itself
+    /// and stays queued, so the disk ends as a synchronous demotion
+    /// would leave it. A validated record is decoded. Either way the
+    /// plan is counted (`disk_hits`) and re-admitted into RAM
     /// (`promotions` — unless oversized for its shard slice). A record
     /// that fails strict validation is counted (the store deleted it)
     /// and the caller composes fresh.
     pub(crate) fn promote(&self, key: &Key) -> Option<Arc<PlanSlot<T>>> {
-        let store = self.store.as_ref()?;
-        match store.get(&key.0, key.1) {
+        let disk = self.disk.as_ref()?;
+        if let Some((slot, uses)) = disk.queued_plan(key) {
+            bump(&self.counters.disk_hits, 1);
+            if self.admit(*key, Arc::clone(&slot), uses) {
+                bump(&self.counters.promotions, 1);
+            }
+            return Some(slot);
+        }
+        match disk.store.get(&key.0, key.1) {
             Ok(Some((plan, meta))) => {
                 bump(&self.counters.disk_hits, 1);
                 let slot = PlanSlot::new(plan, meta.cost_ns);
@@ -272,8 +552,9 @@ impl<T: AtomicScalar> PlanCache<T> {
     /// inserted.
     ///
     /// Eviction is **write-behind demoting**: victims leave the shard
-    /// under the lock, then — with no lock held — each is offered to the
-    /// disk tier.
+    /// under the lock, then — with no lock held — each is queued for the
+    /// demotion writer (or, past the queue bound, written to the disk
+    /// tier on this thread).
     pub(crate) fn admit(&self, key: Key, slot: Arc<PlanSlot<T>>, uses: u64) -> bool {
         debug_assert!(!slot.plan.degraded, "degraded plans are never cached");
         let bytes = slot.plan.format_bytes();
@@ -313,33 +594,37 @@ impl<T: AtomicScalar> PlanCache<T> {
             );
         }
         bump(&self.counters.evictions, victims.len() as u64);
-        for (key, entry) in &victims {
+        for (key, entry) in victims {
             self.demote(key, entry);
         }
         true
     }
 
     /// Offer an evicted RAM entry to the disk tier (no shard lock is
-    /// held). A successful write counts as a demotion; a failed write,
-    /// no store, or a poisoned plan counts its bytes as dropped
-    /// (`evicted_bytes`).
-    fn demote(&self, key: &Key, entry: &Entry<T>) {
-        let demoted = match &self.store {
-            Some(store) if !entry.slot.is_poisoned() => store
-                .put(
-                    &key.0,
-                    key.1,
-                    &entry.slot.plan,
-                    entry.slot.cost_ns,
-                    entry.uses,
-                )
-                .is_ok(),
-            _ => false,
-        };
-        if demoted {
-            bump(&self.counters.demotions, 1);
-        } else {
+    /// held): queue it for the writer, or write it here when the queue
+    /// is full. A written record counts as a demotion — for a queued
+    /// entry, once the writer finishes it; a failed write, no store, or
+    /// a poisoned plan counts its bytes as dropped (`evicted_bytes`).
+    fn demote(&self, key: Key, entry: Entry<T>) {
+        let Some(disk) = self.disk.as_ref().filter(|_| !entry.slot.is_poisoned()) else {
             bump(&self.counters.evicted_bytes, entry.bytes as u64);
+            return;
+        };
+        let queued = Queued {
+            slot: entry.slot,
+            uses: entry.uses,
+            bytes: entry.bytes,
+            evictions: 1,
+            victim_bytes: entry.bytes as u64,
+        };
+        if let Err(q) = disk.enqueue_demotion(key, queued) {
+            // Back-pressure: this thread writes the victim itself.
+            let slot = &q.slot;
+            let written = disk
+                .store
+                .put(&key.0, key.1, &slot.plan, slot.cost_ns, q.uses)
+                .is_ok();
+            self.counters.settle_demotion(written, &q);
         }
     }
 
@@ -363,8 +648,12 @@ impl<T: AtomicScalar> PlanCache<T> {
         drop(shard);
         // Purge the disk tier too: a poisoned plan must not resurrect
         // through a later promotion or a restart warm.
-        if let Some(store) = &self.store {
-            store.remove(&key.0, key.1);
+        if let Some(disk) = &self.disk {
+            for (_, q) in disk.purge_queued(|k| k == key) {
+                self.counters.settle_demotion(false, &q);
+            }
+            let _writing = lock(&disk.writing);
+            disk.store.remove(&key.0, key.1);
         }
     }
 
@@ -394,11 +683,22 @@ impl<T: AtomicScalar> PlanCache<T> {
         bump(&self.counters.stale_evicted, keys.len() as u64);
     }
 
-    /// Delete every disk record keyed by `fp`.
+    /// Delete every queued demotion and disk record keyed by `fp`. A
+    /// queued plan that never reached disk counts as retired too, and as
+    /// dropped bytes.
     fn retire_disk(&self, fp: &Fingerprint) {
-        if let Some(store) = &self.store {
-            bump(&self.counters.stale_evicted, store.remove_matrix(fp) as u64);
+        let Some(disk) = &self.disk else { return };
+        let purged = disk.purge_queued(|(f, _)| f == fp);
+        let _writing = lock(&disk.writing);
+        let queued_only = purged
+            .iter()
+            .filter(|((f, j), _)| !disk.store.holds(f, *j))
+            .count();
+        for (_, q) in &purged {
+            self.counters.settle_demotion(false, q);
         }
+        let removed = disk.store.remove_matrix(fp) + queued_only;
+        bump(&self.counters.stale_evicted, removed as u64);
     }
 
     /// Retire one fingerprint from both tiers, RAM first (so a promotion
@@ -474,16 +774,36 @@ impl<T: AtomicScalar> PlanCache<T> {
         s.quarantined = load(&c.quarantined);
         s.cached_plans = plans;
         s.cached_bytes = bytes;
-        s.store_bytes = self.store.as_ref().map_or(0, |s| s.bytes() as usize);
+        s.store_bytes = self.store().map_or(0, |s| s.bytes() as usize);
+    }
+}
+
+impl<T: AtomicScalar> Drop for PlanCache<T> {
+    /// A clean shutdown drains the queue: the writer finishes every
+    /// queued demotion, then exits and is joined.
+    fn drop(&mut self) {
+        let Some(writer) = self.writer.take() else {
+            return;
+        };
+        if let Some(disk) = &self.disk {
+            lock(&disk.pending).shutdown = true;
+            disk.work.notify_all();
+        }
+        let _ = writer.join();
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::lock;
     use crate::planner::FixedCellPlanner;
     use crate::{Fingerprint, ServeConfig, ServeEngine, ServeStats};
     use lf_sparse::gen::mixed_regions;
     use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
+    use std::path::{Path, PathBuf};
+    use std::sync::{mpsc, Arc};
+    use std::thread::JoinHandle;
+    use std::time::Duration;
 
     fn matrix(seed: u64) -> CsrMatrix<f64> {
         let mut rng = Pcg32::seed_from_u64(seed);
@@ -492,6 +812,71 @@ mod tests {
 
     fn engine() -> ServeEngine<f64, FixedCellPlanner> {
         ServeEngine::new(FixedCellPlanner::tuned(4), ServeConfig::default())
+    }
+
+    /// A fresh scratch store directory for one test.
+    fn store_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("lf-cache-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A store-backed engine whose single shard holds about 1.5 plans:
+    /// every new matrix evicts the previous one, and the demotion queue
+    /// (bounded by the same slice) holds one plan.
+    fn spilling_engine(dir: &Path) -> ServeEngine<f64, FixedCellPlanner> {
+        let probe = engine();
+        let mut rng = Pcg32::seed_from_u64(93);
+        probe
+            .serve(&matrix(10), &DenseMatrix::random(128, 8, &mut rng))
+            .unwrap();
+        let plan_bytes = probe.stats().cached_bytes;
+        ServeEngine::new(
+            FixedCellPlanner::tuned(4),
+            ServeConfig {
+                shards: 1,
+                byte_budget: plan_bytes + plan_bytes / 2,
+                store_dir: Some(dir.to_string_lossy().into_owned()),
+                ..ServeConfig::default()
+            },
+        )
+    }
+
+    /// Hold the demotion writer's batch lock on a helper thread until the
+    /// returned sender fires: queued demotions stay queued meanwhile.
+    fn stall_writer(e: &ServeEngine<f64, FixedCellPlanner>) -> (mpsc::Sender<()>, JoinHandle<()>) {
+        let disk = Arc::clone(e.cache.disk.as_ref().expect("a store-backed engine"));
+        let (held_tx, held_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let helper = std::thread::spawn(move || {
+            let _writing = lock(&disk.writing);
+            held_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        held_rx.recv().unwrap();
+        (release_tx, helper)
+    }
+
+    /// Release a stalled writer after `ms` milliseconds, from a thread.
+    /// The assertions after a blocking call hold whenever the release
+    /// lands; the delay only makes it likely the call was blocked, so a
+    /// call that skipped the drain would fail them.
+    fn release_later(release: mpsc::Sender<()>, ms: u64) -> JoinHandle<()> {
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(ms));
+            let _ = release.send(());
+        })
+    }
+
+    fn queued(e: &ServeEngine<f64, FixedCellPlanner>) -> usize {
+        let disk = e.cache.disk.as_ref().expect("a store-backed engine");
+        let q = lock(&disk.pending);
+        assert!(q.bytes <= disk.bound, "queue over its bound");
+        q.map.len()
+    }
+
+    fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
     }
 
     fn assert_ledger_balances(s: &ServeStats) {
@@ -610,5 +995,136 @@ mod tests {
         assert_eq!(s.cached_bytes, 0);
         assert_eq!(s.misses, 1);
         assert!(!e.serve(&a, &b).unwrap().hit, "cleared cache misses again");
+    }
+
+    #[test]
+    fn queued_plan_promotes_as_the_evicted_arc_bitwise() {
+        let dir = store_dir("queued-promote");
+        let e = spilling_engine(&dir);
+        let mut rng = Pcg32::seed_from_u64(87);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let (m1, m2) = (matrix(60), matrix(61));
+        assert!(!e.serve(&m1, &b).unwrap().hit);
+        let key = (Fingerprint::of_csr(&m1), 8);
+        let evicted = e.cache.lookup(&key).expect("m1 is cached");
+
+        let (release, helper) = stall_writer(&e);
+        assert!(!e.serve(&m2, &b).unwrap().hit);
+        assert!(e.cache.lookup(&key).is_none(), "m1 left RAM");
+        assert_eq!(queued(&e), 1);
+        let s = e.stats();
+        assert_eq!(
+            (s.evictions, s.demotions, s.store_bytes),
+            (1, 0, 0),
+            "{s:?}"
+        );
+
+        // The queued plan answers the miss: the very Arc that was
+        // evicted, served as a disk hit, bitwise the reference.
+        let out = e.serve(&m1, &b).unwrap();
+        assert!(out.hit && out.compose.is_none(), "promoted, not recomposed");
+        assert_eq!(bits(&out.result), bits(&m1.spmm_reference(&b).unwrap()));
+        let back = e.cache.lookup(&key).expect("promoted into RAM");
+        assert!(Arc::ptr_eq(&back, &evicted), "not the queued Arc");
+        let s = e.stats();
+        assert_eq!((s.disk_hits, s.promotions), (1, 1), "{s:?}");
+        assert_eq!(queued(&e), 1, "a promoted plan stays queued");
+
+        release.send(()).unwrap();
+        helper.join().unwrap();
+        e.flush_demotions();
+        assert_eq!(queued(&e), 0);
+        let s = e.stats();
+        assert_eq!(s.demotions, s.evictions, "{s:?}");
+        assert_eq!(s.evicted_bytes, 0, "{s:?}");
+        assert_ledger_balances(&s);
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_full_queue_writes_victims_on_the_requesting_thread() {
+        let dir = store_dir("backpressure");
+        let e = spilling_engine(&dir);
+        let mut rng = Pcg32::seed_from_u64(86);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let (release, helper) = stall_writer(&e);
+        for seed in 70..74u64 {
+            assert!(!e.serve(&matrix(seed), &b).unwrap().hit);
+        }
+        // Three evictions: the first fills the queue, the other two are
+        // written synchronously — demoted already, with the writer stalled.
+        assert_eq!(queued(&e), 1);
+        let s = e.stats();
+        assert_eq!((s.evictions, s.demotions), (3, 2), "{s:?}");
+        release.send(()).unwrap();
+        helper.join().unwrap();
+        e.flush_demotions();
+        let s = e.stats();
+        assert_eq!(s.demotions, s.evictions, "no demotion dropped: {s:?}");
+        assert_eq!(s.evicted_bytes, 0, "{s:?}");
+        assert_eq!(e.cache.store().map(|st| st.records()), Some(3));
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_drains_the_queue_first() {
+        let dir = store_dir("snapshot-drains");
+        let e = spilling_engine(&dir);
+        let mut rng = Pcg32::seed_from_u64(85);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let (release, helper) = stall_writer(&e);
+        e.serve(&matrix(80), &b).unwrap();
+        e.serve(&matrix(81), &b).unwrap();
+        assert_eq!(queued(&e), 1);
+        let releaser = release_later(release, 50);
+        // Blocks until the writer, released, drains the queued plan; then
+        // writes the one RAM plan itself.
+        assert_eq!(e.snapshot().unwrap(), 1);
+        releaser.join().unwrap();
+        helper.join().unwrap();
+        assert_eq!(queued(&e), 0);
+        let s = e.stats();
+        assert_eq!((s.evictions, s.demotions), (1, 1), "{s:?}");
+        assert_eq!(e.cache.store().map(|st| st.records()), Some(2));
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drop_drains_the_queue_and_every_demoted_plan_warms() {
+        let dir = store_dir("drop-drains");
+        let e = spilling_engine(&dir);
+        let mut rng = Pcg32::seed_from_u64(84);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let (release, helper) = stall_writer(&e);
+        for seed in 90..93u64 {
+            e.serve(&matrix(seed), &b).unwrap();
+        }
+        assert_eq!(queued(&e), 1);
+        let releaser = release_later(release, 50);
+        drop(e); // joins the writer once it drained the queue
+        releaser.join().unwrap();
+        helper.join().unwrap();
+
+        let reopened = ServeEngine::new(
+            FixedCellPlanner::tuned(4),
+            ServeConfig {
+                store_dir: Some(dir.to_string_lossy().into_owned()),
+                ..ServeConfig::default()
+            },
+        );
+        let s = reopened.stats();
+        assert_eq!(s.warm_loaded, 2, "both demoted plans warm: {s:?}");
+        assert_eq!(s.warm_rejected, 0, "{s:?}");
+        for seed in [90u64, 91] {
+            let a = matrix(seed);
+            let out = reopened.serve(&a, &b).unwrap();
+            assert!(out.hit, "seed {seed}: a demoted plan must warm");
+            assert_eq!(bits(&out.result), bits(&a.spmm_reference(&b).unwrap()));
+        }
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -38,7 +38,8 @@
 //! every request shares the one pool the kernels already dispatch to, so
 //! serving N concurrent requests spawns no threads beyond the pool's
 //! (asserted by the stress suite via
-//! `lf_sim::pool::workers_spawned_total`).
+//! `lf_sim::pool::workers_spawned_total`). A store-backed engine adds
+//! exactly one thread of its own, the demotion writer (`cache.rs`).
 //!
 //! Two requests that miss on the same key simultaneously both compose
 //! (no cross-request blocking); the first insert wins and the loser's
@@ -156,7 +157,9 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
     /// re-validated — framing CRC, plan-blob CRC, structural bounds,
     /// fingerprint re-check — until the RAM byte budget is reached.
     /// A store directory that cannot be opened degrades the engine to
-    /// RAM-only rather than failing construction.
+    /// RAM-only rather than failing construction. With a store, the
+    /// engine also starts one named demotion writer thread; dropping the
+    /// engine drains its queue and joins it.
     pub fn new(planner: P, config: ServeConfig) -> Self {
         ServeEngine {
             planner,
@@ -168,12 +171,24 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
     }
 
     /// Persist every currently cached RAM plan to the disk tier and
-    /// rewrite the manifest — the snapshot a restart warms from.
-    /// Returns the number of plans written, or `Ok(0)` without a store.
-    /// Poisoned slots are skipped (a quarantined plan must never
+    /// rewrite the manifest — the snapshot a restart warms from. Queued
+    /// demotions are drained first ([`flush_demotions`](Self::flush_demotions)).
+    /// Returns the number of RAM plans written, or `Ok(0)` without a
+    /// store. Poisoned slots are skipped (a quarantined plan must never
     /// resurrect through a snapshot).
     pub fn snapshot(&self) -> LfResult<usize> {
         self.cache.snapshot()
+    }
+
+    /// Block until every demotion queued so far has reached the disk
+    /// tier and the manifest is rewritten. Evicted plans are written by
+    /// a background writer, so the `demotions` and `evicted_bytes`
+    /// counters (and `store_bytes`) trail the evictions that cause them
+    /// until a flush. Dropping the engine flushes too; a process killed
+    /// before that may lose queued demotions, never a whole record. A
+    /// no-op without a store.
+    pub fn flush_demotions(&self) {
+        self.cache.flush_demotions();
     }
 
     /// The disk tier's placement-policy name, when a store is open.

@@ -70,6 +70,16 @@ pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Wait on a condition variable with a guard from [`lock`], recovering
+/// the guard the same way if the lock was poisoned meanwhile.
+pub(crate) fn wait<'a, T>(
+    cv: &std::sync::Condvar,
+    guard: std::sync::MutexGuard<'a, T>,
+) -> std::sync::MutexGuard<'a, T> {
+    cv.wait(guard)
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use engine::{
     AppliedDelta, MatrixHandle, ServeConfig, ServeEngine, ServeOutcome, ServeStats, UpdateOutcome,
 };

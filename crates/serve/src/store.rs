@@ -7,7 +7,12 @@
 //! serving engine demotes RAM-evicted plans here instead of dropping
 //! them, promotes records back on a RAM miss, and warms the cache from
 //! the directory at startup — so a process restart is no longer a
-//! cold-compose storm.
+//! cold-compose storm. Demotions reach the store through the engine's
+//! write-behind queue: one background writer publishes each queued
+//! record with `put_record` and rewrites the manifest once per batch,
+//! while [`PlanStore::put`] (record plus manifest) stays the one-call
+//! form for a demotion the requesting thread writes itself and for
+//! direct callers.
 //!
 //! ## Crash safety
 //!
@@ -16,6 +21,9 @@
 //! place, and the directory `fsync`ed. A crash mid-write therefore
 //! leaves either the old state or a stray `*.tmp` — never a readable
 //! half-record under a final name. Stray temp files are swept on open.
+//! Every write gets its own temp name, so concurrent writers (the
+//! demotion writer, a back-pressured request, a snapshot) never rename
+//! each other's temp files away.
 //! On top of that, every record carries its own CRC-32 and the plan
 //! blob inside carries another (`liteform_core::codec`), so even bytes
 //! torn by layers below the rename (bit rot, lying disks) are rejected,
@@ -25,6 +33,11 @@
 //! existence. Ground truth is the record files themselves, so a crash
 //! between a record rename and the manifest rewrite merely resets that
 //! record's use count — the plan itself survives and is still warmed.
+//! For the same reason two concurrent manifest rewrites may publish in
+//! either order: the loser's metadata is at most one batch stale.
+//!
+//! A record larger than the whole disk budget is refused with a typed
+//! `ResourceExhausted` before any other record is evicted for it.
 //!
 //! ## Placement
 //!
@@ -47,6 +60,7 @@ use std::fs;
 use std::io::Write;
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Record-file magic: "LFPR" (LiteForm Plan Record).
@@ -197,8 +211,14 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
     fs::File::open(dir)?.sync_all()
 }
 
+/// Sequence number that makes every temp file name unique, so concurrent
+/// writers of the manifest (or of one record) never share a temp path.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
 /// Atomically publish `bytes` at `path` (same-directory temp + fsync +
-/// rename + directory fsync). Under the chaos tier, `torn_site` can
+/// rename + directory fsync). The temp name is unique per write, so two
+/// concurrent writes of the same path each rename their own complete
+/// file and the last rename wins. Under the chaos tier, `torn_site` can
 /// simulate a crash mid-write: a truncated temp file is left behind and
 /// the rename never happens — exactly the on-disk state a real kill
 /// would leave.
@@ -208,7 +228,8 @@ fn atomic_write(
     #[allow(unused_variables)] torn_site: lf_check::chaos::ChaosSite,
 ) -> LfResult<()> {
     let dir = path.parent().expect("store paths always have a parent");
-    let tmp = path.with_extension("tmp");
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = path.with_extension(format!("{seq}.tmp"));
     let mut f = fs::File::create(&tmp).map_err(|e| io_err("create temp", e))?;
     #[cfg(feature = "chaos")]
     {
@@ -338,11 +359,28 @@ impl<T: AtomicScalar> PlanStore<T> {
         self.dir.join(format!("p{:016x}-{j}.lfp", fp.digest()))
     }
 
-    /// Demote a plan to disk. Evicts lowest-scoring records to fit the
-    /// byte budget, then publishes the record atomically and rewrites
-    /// the manifest. On any failure the store's on-disk state is either
-    /// untouched or missing only evicted records — never torn.
+    /// Demote a plan to disk: [`put_record`](Self::put_record), then
+    /// rewrite the manifest. On any failure the store's on-disk state is
+    /// either untouched or missing only evicted records — never torn.
     pub fn put(
+        &self,
+        fp: &Fingerprint,
+        j: usize,
+        plan: &PreparedPlan<T>,
+        cost_ns: u64,
+        uses: u64,
+    ) -> LfResult<()> {
+        self.put_record(fp, j, plan, cost_ns, uses)?;
+        self.write_manifest()
+    }
+
+    /// Publish one record atomically without rewriting the manifest —
+    /// the engine's demotion writer calls this once per queued plan and
+    /// [`write_manifest`](Self::write_manifest) once per batch. Evicts
+    /// lowest-scoring records to fit the byte budget first; a record
+    /// larger than the whole budget is refused before anything is
+    /// evicted.
+    pub(crate) fn put_record(
         &self,
         fp: &Fingerprint,
         j: usize,
@@ -366,6 +404,16 @@ impl<T: AtomicScalar> PlanStore<T> {
         record.bytes(&blob);
         record.crc_trailer();
         let record = record.into_bytes();
+        if self.budget > 0 && record.len() > self.budget {
+            // Evicting every other record would still not make room.
+            return Err(LfError::ResourceExhausted {
+                what: format!(
+                    "plan store: a {}-byte record exceeds the {}-byte disk budget",
+                    record.len(),
+                    self.budget
+                ),
+            });
+        }
 
         // Make room first (under the index lock; file deletion is
         // idempotent so a crash between delete and insert only shrinks
@@ -424,7 +472,12 @@ impl<T: AtomicScalar> PlanStore<T> {
             }
             return Err(e);
         }
-        self.write_manifest()
+        Ok(())
+    }
+
+    /// Whether a record for `(fp, j)` is indexed.
+    pub(crate) fn holds(&self, fp: &Fingerprint, j: usize) -> bool {
+        lock(&self.state).index.contains_key(&(*fp, j))
     }
 
     /// Load a record, fully validated: store framing CRC, key equality,

@@ -164,6 +164,7 @@ fn demoted_then_promoted_plan_is_bitwise_identical_to_its_pre_demotion_self() {
 
     assert!(!e.serve(&m1, &b).unwrap().hit);
     assert!(!e.serve(&m2, &b).unwrap().hit);
+    e.flush_demotions();
     let s = e.stats();
     assert!(s.evictions >= 1, "{s:?}");
     assert_eq!(s.demotions, s.evictions, "every eviction demoted: {s:?}");
@@ -219,6 +220,7 @@ fn plans_over_stored_zeros_promote_from_disk() {
 
     assert!(!e.serve(&m1, &b).unwrap().hit);
     assert!(!e.serve(&matrix(13), &b).unwrap().hit);
+    e.flush_demotions();
     assert!(e.stats().demotions >= 1, "{:?}", e.stats());
 
     let after = e.serve(&m1, &b).unwrap();
@@ -396,6 +398,134 @@ fn disk_budget_evicts_by_placement_score() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn concurrent_puts_never_collide_on_temp_files() {
+    let _g = locked();
+    let dir = scratch("concurrent-puts");
+    let store: PlanStore<f64> = PlanStore::open(StoreConfig {
+        dir: dir.clone(),
+        disk_budget_bytes: 0,
+        placement: Placement::CostAware,
+    })
+    .unwrap();
+    // Two writers, 200 distinct small records each: every put publishes
+    // its record and rewrites the one manifest concurrently with the
+    // other writer's.
+    const PER_THREAD: u64 = 200;
+    let small = |seed: u64| {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        CsrMatrix::<f64>::from_coo(&mixed_regions(32, 32, 96, 2, &mut rng))
+    };
+    let errors: Vec<String> = std::thread::scope(|scope| {
+        let writers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let store = &store;
+                scope.spawn(move || {
+                    (0..PER_THREAD)
+                        .filter_map(|i| {
+                            let m = small(0xC0_0000 + t * PER_THREAD + i);
+                            let fp = Fingerprint::of_csr(&m);
+                            let plan = PreparedPlan::from_csr(m, PreprocessProfile::default())
+                                .with_tuned_j(8);
+                            store.put(&fp, 8, &plan, 1_000, 0).err()
+                        })
+                        .map(|e| e.to_string())
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        writers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+    assert!(
+        errors.is_empty(),
+        "{} puts failed: {:?}",
+        errors.len(),
+        errors.first()
+    );
+    assert_eq!(store.records(), 2 * PER_THREAD as usize);
+    drop(store);
+
+    // Every record is on disk and passes full validation on warm.
+    let e = engine(store_config(&dir));
+    let s = e.stats();
+    assert_eq!(s.warm_loaded, 2 * PER_THREAD, "{s:?}");
+    assert_eq!(s.warm_rejected, 0, "{s:?}");
+    let stray = fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .any(|e| e.file_name().to_string_lossy().ends_with(".tmp"));
+    assert!(!stray, "no temp file outlives its write");
+    drop(e);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_record_larger_than_the_disk_budget_is_refused_not_wiped_in() {
+    let _g = locked();
+    let dir = scratch("oversized-record");
+    let open = |budget: usize| -> PlanStore<f64> {
+        PlanStore::open(StoreConfig {
+            dir: dir.clone(),
+            disk_budget_bytes: budget,
+            placement: Placement::CostAware,
+        })
+        .unwrap()
+    };
+    let small = |seed: u64| {
+        let mut rng = Pcg32::seed_from_u64(seed);
+        CsrMatrix::<f64>::from_coo(&mixed_regions(32, 32, 96, 2, &mut rng))
+    };
+    let resident = {
+        let store = open(0);
+        for seed in [1u64, 2] {
+            let m = small(seed);
+            let fp = Fingerprint::of_csr(&m);
+            let plan = PreparedPlan::from_csr(m, PreprocessProfile::default()).with_tuned_j(8);
+            store.put(&fp, 8, &plan, 1_000, 0).unwrap();
+        }
+        store.bytes() as usize
+    };
+    // Room for the two small records, far less than one large one.
+    let budget = resident + resident / 2;
+    let store = open(budget);
+    let big = matrix(55);
+    let fp = Fingerprint::of_csr(&big);
+    let plan = PreparedPlan::from_csr(big, PreprocessProfile::default()).with_tuned_j(8);
+    let err = store.put(&fp, 8, &plan, 1_000, 0).unwrap_err();
+    assert!(matches!(err, LfError::ResourceExhausted { .. }), "{err}");
+    assert!(err.to_string().contains("disk budget"), "{err}");
+    assert_eq!(store.records(), 2, "existing records survive");
+    assert!(store.bytes() as usize <= budget);
+    assert!(store.get(&fp, 8).unwrap().is_none());
+    drop(store);
+
+    let _ = fs::remove_dir_all(&dir);
+
+    // Through the engine, every refused demotion counts as dropped bytes.
+    let e = engine(ServeConfig {
+        shards: 1,
+        byte_budget: plan_bytes() * 3 / 2,
+        disk_budget_bytes: budget,
+        ..store_config(&dir)
+    });
+    let mut rng = Pcg32::seed_from_u64(0x0B16);
+    let b = DenseMatrix::random(128, 8, &mut rng);
+    for seed in 56..59u64 {
+        e.serve(&matrix(seed), &b).unwrap();
+    }
+    e.flush_demotions();
+    let s = e.stats();
+    assert!(s.evictions >= 2, "{s:?}");
+    assert_eq!(s.demotions, 0, "{s:?}");
+    assert!(s.evicted_bytes > 0, "{s:?}");
+    assert_eq!(s.store_bytes, 0, "{s:?}");
+    drop(e);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Kill-point scenarios (chaos feature): a seeded fault tears the write
 // at each durability boundary; recovery must come up clean and serve
@@ -429,6 +559,7 @@ mod kill_points {
             });
             e.serve(&m1, &b).unwrap();
             e.serve(&m2, &b).unwrap(); // evicts m1 → demotion tears
+            e.flush_demotions();
             let s = e.stats();
             assert!(s.evictions >= 1, "{s:?}");
             assert_eq!(s.demotions, 0, "every demotion write was torn: {s:?}");
@@ -458,6 +589,64 @@ mod kill_points {
         assert!(no_tmp, "recovery sweeps torn temp files");
         let out = e.serve(&m1, &b).unwrap();
         assert_reference(&out.result, &m1, &b, "recovered engine");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn kill_with_demotions_queued_loses_them_and_nothing_else() {
+        let _g = locked();
+        let dir = scratch("kill-queued");
+        let plan_bytes = plan_bytes();
+        let mut rng = Pcg32::seed_from_u64(0x4D4E);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let (m1, m2) = (matrix(63), matrix(64));
+        let bits =
+            |m: &DenseMatrix<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let assert_bitwise = |got: &DenseMatrix<f64>, a: &CsrMatrix<f64>, what: &str| {
+            assert_eq!(bits(got), bits(&a.spmm_reference(&b).unwrap()), "{what}");
+        };
+
+        chaos::install(always(ChaosSite::DemoteQueuedKill));
+        {
+            let e = engine(ServeConfig {
+                shards: 1,
+                byte_budget: plan_bytes + plan_bytes / 2,
+                ..store_config(&dir)
+            });
+            e.serve(&m1, &b).unwrap();
+            // Evicts m1 into the queue; the writer "dies" before writing it.
+            e.serve(&m2, &b).unwrap();
+            // m1 is still promotable from the queue, and its admission
+            // evicts m2, which the full queue writes synchronously.
+            let out = e.serve(&m1, &b).unwrap();
+            assert!(out.hit, "queued plan must promote");
+            assert_bitwise(&out.result, &m1, "queued promotion");
+            e.flush_demotions(); // returns: no writer left to wait on
+            let s = e.stats();
+            assert_eq!((s.evictions, s.demotions), (2, 1), "{s:?}");
+        } // "kill": the queued demotion of m1 is lost
+        chaos::reset();
+        assert!(chaos::injected(ChaosSite::DemoteQueuedKill) >= 1);
+
+        let e = engine(store_config(&dir));
+        let s = e.stats();
+        assert_eq!(s.warm_rejected, 0, "{s:?}");
+        assert_eq!(
+            s.warm_loaded, 1,
+            "only the written demotion survives: {s:?}"
+        );
+        let no_tmp = fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .all(|e| !e.file_name().to_string_lossy().ends_with(".tmp"));
+        assert!(no_tmp, "a kill with demotions queued leaves no temp file");
+        let lost = e.serve(&m1, &b).unwrap();
+        assert!(!lost.hit, "the queued demotion died with the process");
+        assert_bitwise(&lost.result, &m1, "recomposed after the kill");
+        let kept = e.serve(&m2, &b).unwrap();
+        assert!(kept.hit, "the written demotion warmed");
+        assert_bitwise(&kept.result, &m2, "warmed after the kill");
+        drop(e);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -28,8 +28,9 @@
 #             batch.rs, FMA in simd.rs, found with suppressions
 #             ignored), the vector-clock happens-before detector's
 #             seeded races, the model-checked pool-protocol,
-#             plan-cache, and quarantine scenarios (including the
-#             reverted-fix use-after-free rediscoveries), the hb-
+#             plan-cache, quarantine, and write-behind demotion
+#             scenarios (including the reverted-fix use-after-free and
+#             stale-record rediscoveries), the hb-
 #             instrumented end-to-end pool region, the shadow race
 #             detector's seeded-bug proofs in debug mode, the
 #             differential fuzzer with the detector live, and the
@@ -41,7 +42,8 @@
 #             asserting no deadlocks, no wrong bytes, the exact outcome
 #             ledger, and an achieved fault rate of >= 5% of requests —
 #             the plan-store kill-and-restart scenarios (torn demotion,
-#             torn manifest, aborted warm) asserting recovery never
+#             torn manifest, aborted warm, kill with demotions queued)
+#             asserting recovery never
 #             serves wrong bytes, and the mid-update kill scenarios
 #             (torn update commit, aborted epoch sweep, stale disk
 #             record surviving a crash) asserting the handle and both
@@ -123,6 +125,8 @@ if [[ "$RUN_CHECK" == "1" ]]; then
   cargo test -p lf-serve --test model_cache -q
   echo "==> model-checked quarantine protocol (lf-serve)"
   cargo test -p lf-serve --test model_quarantine -q
+  echo "==> model-checked write-behind demotion protocol (lf-serve)"
+  cargo test -p lf-serve --test model_write_behind -q
   echo "==> shadow race detector seeded bugs + differential fuzz (debug)"
   cargo test -p lf-kernels -q
   echo "==> hot-path allocation discipline (release)"
