@@ -4,7 +4,9 @@
 //! (`run_forced_atomic`: the bucket-chunk work queue, every row through
 //! `atomic_add`), plus a three-way engine comparison per kernel: the
 //! microkernel's one-lane arm (`Lanes::Scalar`) vs the SIMD strips at
-//! the default tile vs SIMD at the cost-model-tuned tile (`plan_tile`).
+//! the default tile vs SIMD at the cost-model-tuned tile (`plan_tile`),
+//! and a narrow pass timing every distinct numeric path at J=16 at its
+//! tuned tile (the width most serving requests run at).
 //!
 //! All engines are measured **in-process on the same operand**, so the
 //! ratios are free of the cross-run variance this host shows on absolute
@@ -70,6 +72,16 @@ struct SimdComparison {
     speedup: f64,
 }
 
+/// The narrow-width pass: every distinct numeric path at its tuned tile.
+#[derive(Serialize)]
+struct NarrowPass {
+    j: usize,
+    j_tile: usize,
+    k_block: usize,
+    lanes: String,
+    kernels: Vec<KernelTime>,
+}
+
 #[derive(Serialize)]
 struct Artifact {
     mode: &'static str,
@@ -80,6 +92,7 @@ struct Artifact {
     geomean_speedup: f64,
     simd: Vec<SimdComparison>,
     simd_geomean_speedup: f64,
+    narrow: NarrowPass,
 }
 
 /// Best-of-`reps` wall time in milliseconds.
@@ -95,9 +108,6 @@ fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    // Quick keeps the reference J=64: the gather microkernels amortize
-    // their per-nnz gather cost over the dense width, so a J=16 smoke
-    // would measure gather overhead, not the engine.
     let (n, nnz, j, reps) = if quick {
         (1024, 60_000, 64, 3)
     } else {
@@ -196,58 +206,55 @@ fn main() {
     }
     let gm = geomean(&speedups).unwrap_or(0.0);
 
-    // --- Scalar lanes vs SIMD gather vs cost-model-tuned tile ---------
+    // --- Scalar lanes vs SIMD strips vs cost-model-tuned tile ---------
     // One row per distinct numeric path (the four CSR-family kernels
     // share `parallel_csr_spmm_tiled`; `csr` stands in for all of them).
     let scalar_tile = TileParams::default().with_lanes(Lanes::Scalar);
     let default_tile = TileParams::default();
-    let tuned_tile = plan_tile(
-        TileFeatures::new(csr.rows(), csr.nnz(), std::mem::size_of::<f32>()),
-        j,
-    );
+    let features = TileFeatures::new(csr.rows(), csr.nnz(), std::mem::size_of::<f32>());
+    let tuned_tile = plan_tile(features, j);
     let k_csr = CsrScalarKernel::new(csr.clone());
     let k_taco = TacoKernel::new(csr.clone(), TacoSchedule::default());
     let k_ell = EllKernel::new(EllMatrix::from_csr(&csr));
     let k_sell = SellKernel::new(SellMatrix::from_csr(&csr, 32).unwrap());
     let k_bcsr = BcsrKernel::new(BcsrMatrix::from_csr(&csr, 8, 8).unwrap());
-    type RunTiled<'a> = Box<dyn Fn(TileParams) + 'a>;
+    type RunTiled<'a> = Box<dyn Fn(&DenseMatrix<f32>, TileParams) + 'a>;
     let mut simd_cases: Vec<(String, RunTiled)> = vec![
         (
             "csr".into(),
-            Box::new(|t| {
-                k_csr.run_tiled(&b, t).unwrap();
+            Box::new(|b, t| {
+                k_csr.run_tiled(b, t).unwrap();
             }),
         ),
         (
             "taco".into(),
-            Box::new(|t| {
-                k_taco.run_tiled(&b, t).unwrap();
+            Box::new(|b, t| {
+                k_taco.run_tiled(b, t).unwrap();
             }),
         ),
         (
             "ell".into(),
-            Box::new(|t| {
-                k_ell.run_tiled(&b, t).unwrap();
+            Box::new(|b, t| {
+                k_ell.run_tiled(b, t).unwrap();
             }),
         ),
         (
             "sell".into(),
-            Box::new(|t| {
-                k_sell.run_tiled(&b, t).unwrap();
+            Box::new(|b, t| {
+                k_sell.run_tiled(b, t).unwrap();
             }),
         ),
         (
             "bcsr".into(),
-            Box::new(|t| {
-                k_bcsr.run_tiled(&b, t).unwrap();
+            Box::new(|b, t| {
+                k_bcsr.run_tiled(b, t).unwrap();
             }),
         ),
     ];
     for (p, k) in &cell_kernels {
-        let b = &b;
         simd_cases.push((
             format!("cell_p{p}"),
-            Box::new(move |t| {
+            Box::new(move |b, t| {
                 k.run_tiled(b, t).unwrap();
             }),
         ));
@@ -256,9 +263,9 @@ fn main() {
     let mut simd_speedups = Vec::new();
     let mut st = Table::new(&["engine", "scalar_ms", "simd_ms", "tuned_ms", "speedup"]);
     for (name, run) in &simd_cases {
-        let scalar_ms = time_ms(reps, || run(scalar_tile));
-        let simd_ms = time_ms(reps, || run(default_tile));
-        let tuned_ms = time_ms(reps, || run(tuned_tile));
+        let scalar_ms = time_ms(reps, || run(&b, scalar_tile));
+        let simd_ms = time_ms(reps, || run(&b, default_tile));
+        let tuned_ms = time_ms(reps, || run(&b, tuned_tile));
         let speedup = scalar_ms / simd_ms.min(tuned_ms);
         st.row(&[
             name.clone(),
@@ -278,6 +285,21 @@ fn main() {
     }
     let simd_gm = geomean(&simd_speedups).unwrap_or(0.0);
 
+    // --- Narrow pass: J=16 at the tuned tile --------------------------
+    let j_narrow = 16;
+    let b_narrow = DenseMatrix::random(csr.cols(), j_narrow, &mut rng);
+    let narrow_tile = plan_tile(features, j_narrow);
+    let mut nt = Table::new(&["engine", "time_ms"]);
+    let mut narrow_times = Vec::new();
+    for (name, run) in &simd_cases {
+        let ms = time_ms(reps, || run(&b_narrow, narrow_tile));
+        nt.row(&[name.clone(), fmt(ms)]);
+        narrow_times.push(KernelTime {
+            name: name.clone(),
+            time_ms: ms,
+        });
+    }
+
     t.print();
     println!();
     ct.print();
@@ -288,6 +310,11 @@ fn main() {
     println!();
     st.print();
     println!("\nSIMD-vs-scalar speedup geomean: {}x", fmt(simd_gm));
+    println!(
+        "\nJ={j_narrow} at the tuned tile (j_tile {}, k_block {}, {:?}):",
+        narrow_tile.j_tile, narrow_tile.k_block, narrow_tile.lanes
+    );
+    nt.print();
 
     let artifact = Artifact {
         mode: if quick { "quick" } else { "full" },
@@ -298,6 +325,13 @@ fn main() {
         geomean_speedup: gm,
         simd: simd_rows,
         simd_geomean_speedup: simd_gm,
+        narrow: NarrowPass {
+            j: j_narrow,
+            j_tile: narrow_tile.j_tile,
+            k_block: narrow_tile.k_block,
+            lanes: format!("{:?}", narrow_tile.lanes),
+            kernels: narrow_times,
+        },
     };
     let dir = if quick {
         PathBuf::from("target/bench-spmm")

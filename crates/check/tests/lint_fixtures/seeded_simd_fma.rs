@@ -1,16 +1,29 @@
 //! Seeded bug: `determinism`. The rejected FMA variant of the
-//! microkernel's scalar tail: `mul_add` keeps the infinitely precise
+//! microkernel's register strip: `mul_add` keeps the infinitely precise
 //! product, so its result differs from the plain mul-then-add path in
-//! the last ulp and the batched-vs-solo bitwise property breaks.
+//! the last ulp and the lane-modes-agree bitwise property breaks.
 //! `lint_rules.rs` appends this function to the real
 //! `crates/kernels/src/simd.rs` text.
 
-fn scalar_tail_fma_reverted(acc: &mut [f64], coeffs: &[f64], rows: &[&[f64]], offset: usize) {
-    for (s, slot) in acc.iter_mut().enumerate() {
-        let mut r = *slot;
-        for (a, row) in coeffs.iter().zip(rows) {
-            r = a.mul_add(row[offset + s], r);
+fn strip_fma_reverted(
+    acc: &mut [f64],
+    offset: usize,
+    cols: &[Index],
+    vals: &[f64],
+    b: &[f64],
+    ld: usize,
+) {
+    let acc = &mut acc[..8];
+    let mut r = [0.0f64; 8];
+    r.copy_from_slice(acc);
+    for (&col, &a) in cols.iter().zip(vals) {
+        if col == ELL_PAD {
+            continue;
         }
-        *slot = r;
+        let row = &b[col as usize * ld + offset..][..8];
+        for (rv, &bv) in r.iter_mut().zip(row) {
+            *rv = a.mul_add(bv, *rv);
+        }
     }
+    acc.copy_from_slice(&r);
 }

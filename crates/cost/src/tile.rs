@@ -2,8 +2,8 @@
 //!
 //! The SpMM kernels take a [`TileParams`] (j-tile width, k-block depth,
 //! lane mode, chunk granularity) that trades L1 residency of the
-//! accumulator tile against re-gather passes over the non-zero stream
-//! and pool scheduling overhead. This module enumerates the candidate
+//! accumulator tile against re-streaming passes over the non-zero
+//! stream and pool scheduling overhead. This module enumerates the candidate
 //! grid, costs each point against the machine's measured
 //! [`calibration`] constants, and memoizes the winner per
 //! (matrix-family, J) key so the serving hot path never re-searches —
@@ -63,9 +63,11 @@ struct TileKey {
 }
 
 /// The candidate grid (powers of two, spanning the kernels' useful
-/// range; `k_block` is capped by the gather buffer's [`MAX_K_BLOCK`]).
+/// range; `k_block` is capped at [`MAX_K_BLOCK`]). `k_block` runs
+/// deepest-first so a tie goes to fewer accumulator round trips on rows
+/// longer than the family's average.
 const J_TILES: [usize; 5] = [32, 64, 128, 256, 512];
-const K_BLOCKS: [usize; 3] = [8, 16, 32];
+const K_BLOCKS: [usize; 3] = [32, 16, 8];
 const CHUNKS: [usize; 3] = [4096, 8192, 16384];
 
 static CACHE: Mutex<Option<HashMap<TileKey, TileParams>>> = Mutex::new(None);
@@ -80,51 +82,64 @@ pub fn tile_cache_stats() -> (usize, usize) {
 /// Predicted nanoseconds for running one SpMM at dense width `j` under
 /// `params`, on the [`calibration`]-measured machine.
 ///
-/// The model mirrors the kernels' actual gather + strip structure:
+/// The model mirrors the kernels' streaming microkernel
+/// (`lf_kernels::simd::stream_row`), which holds a register strip of
+/// `C` while a row's `B` rows stream through it:
 ///
-/// * each accumulated element costs the lane mode's measured blocked
+/// * each accumulated element costs the lane mode's measured streamed
 ///   accumulate rate, inflated by the measured spill factor when the
-///   blocked working set (`k_block × j_tile × elem` of `B` strips plus
-///   the accumulator tile) overflows the planned L1 budget;
-/// * every (j-tile pass, register strip) pair re-walks the non-zero
-///   stream, paying a per-nnz charge (`2 × copy_ns`: coefficient plus
-///   row pointer) — the term that favors wider strips, which cover a
-///   j-tile in fewer passes;
-/// * every gather **flush** reloads and stores the accumulator strip —
+///   chunk working set (`k_block × j_tile × elem` of `B` strips plus
+///   the accumulator tile) overflows the planned L1 budget, and for
+///   every j-tile after the first, which re-streams the row and
+///   re-reads `B` rows that have left L1 — so tiles stay as wide as
+///   the working set allows;
+/// * every (j-tile, register strip) pair re-streams the row's slots,
+///   paying a per-nnz charge (`2 × copy_ns`: column index plus
+///   coefficient) — the term that favors wider strips. A j-tile is
+///   covered by full `LANES × 8` strips, then a cascade of 4-, 2- and
+///   1-group strips and one remainder strip, which together count as
+///   one more strip: a j-tile narrower than a full strip costs one
+///   strip. The one-lane arm sweeps the whole row once per non-zero;
+/// * the accumulator strip is loaded and stored once per row when one
+///   strip covers the j-tile, and once per `k_block` chunk otherwise —
 ///   L1-resident vector traffic priced at the lane rate, so shallow
-///   k-blocks pay `~nnz / k_block × j` extra accumulator traffic;
+///   chunks on multi-strip tiles pay `~nnz / k_block × j` extra;
 /// * scheduling charges one pool dispatch per parallel region plus an
 ///   imbalance term that grows when `chunk_slots` leaves fewer chunks
 ///   than workers.
 pub fn predict_tile_ns(features: TileFeatures, j: usize, params: &TileParams) -> f64 {
     let cal = calibration();
+    let rows = features.rows() as f64;
     let nnz = features.nnz() as f64;
-    let j_tile = params.j_tile.min(j.max(1));
-    let tiles = j.max(1).div_ceil(j_tile) as f64;
+    let j = j.max(1);
     let k_block = params.k_block_clamped();
-    let lane_ns = match params.lanes {
-        Lanes::X8 => cal.axpy_x8_ns,
-        Lanes::X4 => cal.axpy_x4_ns,
-        _ => cal.axpy_scalar_ns,
+    // Measured rate and full strip width in elements; the one-lane arm
+    // is untiled and streams the row once.
+    let (lane_ns, strip, j_tile) = match params.lanes {
+        Lanes::X8 => (cal.axpy_x8_ns, 64, params.j_tile.clamp(1, j)),
+        Lanes::X4 => (cal.axpy_x4_ns, 32, params.j_tile.clamp(1, j)),
+        _ => (cal.axpy_scalar_ns, j, j),
     };
-    // Register strip width in elements (the microkernel's GROUPS=8
-    // unroll); the scalar engine sweeps each non-zero's row in one pass.
-    let strip = match params.lanes {
-        Lanes::X8 => 64,
-        Lanes::X4 => 32,
-        _ => j_tile,
-    };
-    let strips_per_tile = j_tile.div_ceil(strip.max(1)).max(1) as f64;
+    let strips_per_tile = j_tile.div_ceil(strip);
+    let passes = j.div_ceil(j_tile) * strips_per_tile;
     let working_set = (k_block * j_tile + j_tile) * features.elem_bytes;
     let spill = if working_set > cal.l1_budget_bytes {
         cal.l1_spill_factor
     } else {
         1.0
     };
-    let compute = nnz * j as f64 * lane_ns * spill;
-    let gather = tiles * strips_per_tile * nnz * 2.0 * cal.copy_ns;
-    let flush_traffic = (nnz / k_block as f64) * j as f64 * 2.0 * lane_ns;
-    let work = compute + gather + flush_traffic;
+    // Every j-tile after the first re-streams the row, re-reading `B`
+    // rows that have left L1 by then.
+    let later_tiles = (j - j_tile) as f64 * cal.l1_spill_factor;
+    let compute = nnz * lane_ns * (j_tile as f64 * spill + later_tiles);
+    let stream = passes as f64 * nnz * 2.0 * cal.copy_ns;
+    let acc_passes = if strips_per_tile > 1 {
+        (nnz / k_block as f64).max(rows)
+    } else {
+        rows
+    };
+    let acc_traffic = acc_passes * j as f64 * 2.0 * lane_ns;
+    let work = compute + stream + acc_traffic;
     let workers = default_workers() as f64;
     let chunks = (nnz * j as f64 / params.chunk_slots.max(1) as f64).max(1.0);
     // Straggler model: the last chunk finishes alone, so the critical

@@ -82,18 +82,19 @@ pub fn concat_columns<T: Scalar>(bs: &[&DenseMatrix<T>]) -> Result<DenseMatrix<T
             Some(o)
         })
         .collect();
-    let view = DisjointSlice::new(out.as_mut_slice());
-    parallel_for(rows, workers_for(rows * total), |r| {
-        // SAFETY: each row index `r` is produced exactly once by the
-        // parallel_for contract, so the carved per-row spans are
-        // disjoint (debug builds verify via the shadow map).
-        let row = unsafe { view.slice_mut(r * total, total) };
-        for (b, &o) in bs.iter().zip(&offsets) {
-            let w = b.cols();
-            row[o..o + w].copy_from_slice(b.row(r));
-        }
-    });
-    drop(view);
+    {
+        let view = DisjointSlice::new(out.as_mut_slice());
+        parallel_for(rows, workers_for(rows * total), |r| {
+            // SAFETY: each row index `r` is produced exactly once by the
+            // parallel_for contract, so the carved per-row spans are
+            // disjoint (debug builds verify via the shadow map).
+            let row = unsafe { view.slice_mut(r * total, total) };
+            for (b, &o) in bs.iter().zip(&offsets) {
+                let w = b.cols();
+                row[o..o + w].copy_from_slice(b.row(r));
+            }
+        });
+    }
     Ok(out)
 }
 

@@ -5,17 +5,21 @@
 //! footprint enough to reproduce the paper's Triton OOM entries.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops};
-use crate::simd::{Gather, TileParams};
+use crate::csr::parallel_csr_spmm_tiled;
+use crate::simd::TileParams;
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
-use lf_sim::parallel::{default_workers, parallel_for, DisjointSlice};
 use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
-use lf_sparse::{BcsrMatrix, DenseMatrix, Result, SparseError};
+use lf_sparse::{BcsrMatrix, CsrMatrix, DenseMatrix, Result};
 
 /// Triton-style BCSR SpMM (one thread block per block-row).
 pub struct BcsrKernel<T> {
     bcsr: BcsrMatrix<T>,
+    /// The tiles' non-zero entries, row by row in ascending column
+    /// order: the numeric path streams them through the CSR row loop
+    /// (the padded zeros the GPU multiplies contribute nothing).
+    entries: CsrMatrix<T>,
     tile: TileParams,
 }
 
@@ -23,6 +27,7 @@ impl<T: AtomicScalar> BcsrKernel<T> {
     /// Wrap a BCSR operand (default execution tile).
     pub fn new(bcsr: BcsrMatrix<T>) -> Self {
         BcsrKernel {
+            entries: bcsr.to_csr(),
             bcsr,
             tile: TileParams::default(),
         }
@@ -36,72 +41,12 @@ impl<T: AtomicScalar> BcsrKernel<T> {
 
     /// Numeric path with an explicit execution tile.
     pub fn run_tiled(&self, b: &DenseMatrix<T>, tile: TileParams) -> Result<DenseMatrix<T>> {
-        self.execute(b, tile)
+        parallel_csr_spmm_tiled(&self.entries, b, tile)
     }
 
     /// Access the underlying matrix.
     pub fn bcsr(&self) -> &BcsrMatrix<T> {
         &self.bcsr
-    }
-
-    fn execute(&self, b: &DenseMatrix<T>, tile_params: TileParams) -> Result<DenseMatrix<T>> {
-        let (rows, cols) = self.bcsr.shape();
-        if cols != b.rows() {
-            return Err(SparseError::DimensionMismatch {
-                op: "spmm",
-                lhs: (rows, cols),
-                rhs: b.shape(),
-            });
-        }
-        let j = b.cols();
-        let (br, bc) = self.bcsr.block_shape();
-        let slots = br * bc;
-        let lanes = tile_params.lanes.resolve::<T>();
-        let k_block = tile_params.k_block_clamped();
-        let mut c = DenseMatrix::zeros(rows, j);
-        {
-            // Block rows cover disjoint row ranges: accumulate straight
-            // into the output rows.
-            let out = DisjointSlice::new(c.as_mut_slice());
-            let nbr = self.bcsr.num_block_rows();
-            parallel_for(nbr, default_workers(), |blk_row| {
-                let ptr = self.bcsr.block_row_ptr();
-                let mut gather: Gather<'_, T> = Gather::new();
-                for lr in 0..br {
-                    let r = blk_row * br + lr;
-                    if r >= rows {
-                        break;
-                    }
-                    // SAFETY: each block row (hence each row) goes to
-                    // exactly one worker, and each row is carved exactly
-                    // once (the shadow race detector enforces this in
-                    // debug builds).
-                    let crow = unsafe { out.slice_mut(r * j, j) };
-                    for k in ptr[blk_row]..ptr[blk_row + 1] {
-                        let bcol = self.bcsr.block_col_ind()[k] as usize;
-                        let tile = &self.bcsr.block_values()[k * slots..(k + 1) * slots];
-                        // Gather-outer: explicit-zero skipping and the
-                        // tile-edge test leave the inner loop.
-                        for lc in 0..bc {
-                            let col = bcol * bc + lc;
-                            if col >= cols {
-                                break;
-                            }
-                            let v = tile[lr * bc + lc];
-                            if v == T::ZERO {
-                                continue;
-                            }
-                            gather.push(v, b.row(col));
-                            if gather.full(k_block) {
-                                gather.flush_into(lanes, crow, 0);
-                            }
-                        }
-                    }
-                    gather.flush_into(lanes, crow, 0);
-                }
-            });
-        }
-        Ok(c)
     }
 }
 
@@ -115,7 +60,7 @@ impl<T: AtomicScalar> SpmmKernel<T> for BcsrKernel<T> {
     }
 
     fn run(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-        self.execute(b, self.tile)
+        self.run_tiled(b, self.tile)
     }
 
     fn launches(&self, j: usize, device: &DeviceModel) -> Vec<LaunchSpec> {

@@ -31,7 +31,7 @@
 //! oracle path.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, TileParams};
+use crate::simd::{stream_row, TileParams};
 use crate::SpmmKernel;
 use lf_cell::{Bucket, CellMatrix};
 use lf_sim::atomicf::AtomicScalar;
@@ -42,7 +42,7 @@ use lf_sim::parallel::{
 use lf_sim::shadow::ShadowRegion;
 use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
 use lf_sparse::ell::ELL_PAD;
-use lf_sparse::{DenseMatrix, Index, Result, Scalar, SparseError};
+use lf_sparse::{DenseMatrix, Result, Scalar, SparseError};
 
 /// How bucket kernels are combined into launches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,38 +182,6 @@ fn construction_workers(items: usize) -> usize {
     }
 }
 
-/// The `[lo, hi)` accumulator tiles of a `j`-wide row.
-fn j_tiles(j: usize, tile: &TileParams) -> impl Iterator<Item = (usize, usize)> {
-    let step = tile.j_tile.max(1);
-    (0..j).step_by(step).map(move |lo| (lo, (lo + step).min(j)))
-}
-
-/// The one CELL numeric loop: `acc[s] += Σ_k vals[k] · B[cols[k]][offset
-/// + s]` over one bucket row's non-padding slots, in ascending `k`,
-/// gathered `k_block` at a time into the caller's (empty) `gather`.
-/// `tile.lanes` must be resolved.
-fn accumulate_row<'b, T: Scalar>(
-    gather: &mut Gather<'b, T>,
-    tile: &TileParams,
-    acc: &mut [T],
-    offset: usize,
-    cols: &[Index],
-    vals: &[T],
-    b: &'b DenseMatrix<T>,
-) {
-    let k_block = tile.k_block_clamped();
-    for (&col, &a) in cols.iter().zip(vals) {
-        if col == ELL_PAD {
-            continue;
-        }
-        gather.push(a, b.row(col as usize));
-        if gather.full(k_block) {
-            gather.flush_into(tile.lanes, acc, offset);
-        }
-    }
-    gather.flush_into(tile.lanes, acc, offset);
-}
-
 /// LiteForm's CELL SpMM kernel.
 pub struct CellKernel<T> {
     cell: CellMatrix<T>,
@@ -306,7 +274,6 @@ impl<T: AtomicScalar> CellKernel<T> {
             transient = BandSchedule::build(&self.cell, tile.chunk_slots);
             &transient
         };
-        let tile = tile.with_lanes(tile.lanes.resolve::<T>());
         let parts = self.cell.partitions();
         // Debug builds check the bucket labels the GPU model relies on
         // through the shadow race detector: rows of `needs_atomic ==
@@ -322,7 +289,6 @@ impl<T: AtomicScalar> CellKernel<T> {
                 // rows into consecutive ranges) and `parallel_for` hands each
                 // band to exactly one worker.
                 let c_band = unsafe { out.slice_mut(r0 * j, (bands.rows[band + 1] - r0) * j) };
-                let mut gather = Gather::new();
                 for seg in &bands.segments[bands.offsets[band]..bands.offsets[band + 1]] {
                     let bucket = &parts[seg.part as usize].buckets[seg.bucket as usize];
                     let w = bucket.width;
@@ -333,22 +299,13 @@ impl<T: AtomicScalar> CellKernel<T> {
                         } else {
                             labels.claim_exclusive(row * j, j);
                         }
-                        let crow = &mut c_band[(row - r0) * j..(row - r0 + 1) * j];
-                        let (cols, vals) = (
+                        stream_row(
+                            &tile,
+                            &mut c_band[(row - r0) * j..(row - r0 + 1) * j],
                             &bucket.col_ind[bi * w..][..w],
                             &bucket.values[bi * w..][..w],
+                            b,
                         );
-                        for (lo, hi) in j_tiles(j, &tile) {
-                            accumulate_row(
-                                &mut gather,
-                                &tile,
-                                &mut crow[lo..hi],
-                                lo,
-                                cols,
-                                vals,
-                                b,
-                            );
-                        }
                     }
                 }
             });
@@ -378,29 +335,24 @@ impl<T: AtomicScalar> CellKernel<T> {
         if j == 0 || items.is_empty() {
             return Ok(c);
         }
-        let tile = self.tile.with_lanes(self.tile.lanes.resolve::<T>());
         let cells = T::as_cells(c.as_mut_slice());
         parallel_for_init(
             items.len(),
             default_workers(),
-            || vec![T::ZERO; tile.j_tile.max(1).min(j)],
-            |acc_buf, wi| {
+            || vec![T::ZERO; j],
+            |acc, wi| {
                 let WorkItem { bucket, lo, hi } = items[wi];
                 let w = bucket.width;
-                let mut gather = Gather::new();
-                for (t_lo, t_hi) in j_tiles(j, &tile) {
-                    let acc = &mut acc_buf[..t_hi - t_lo];
-                    for bi in lo..hi {
-                        acc.fill(T::ZERO);
-                        let (cols, vals) = (
-                            &bucket.col_ind[bi * w..][..w],
-                            &bucket.values[bi * w..][..w],
-                        );
-                        accumulate_row(&mut gather, &tile, acc, t_lo, cols, vals, b);
-                        let out = bucket.row_ind[bi] as usize * j + t_lo;
-                        for (cell, &v) in cells[out..].iter().zip(acc.iter()) {
-                            T::atomic_add(cell, v);
-                        }
+                for bi in lo..hi {
+                    acc.fill(T::ZERO);
+                    let (cols, vals) = (
+                        &bucket.col_ind[bi * w..][..w],
+                        &bucket.values[bi * w..][..w],
+                    );
+                    stream_row(&self.tile, acc, cols, vals, b);
+                    let out = bucket.row_ind[bi] as usize * j;
+                    for (cell, &v) in cells[out..].iter().zip(acc.iter()) {
+                        T::atomic_add(cell, v);
                     }
                 }
             },

@@ -2,7 +2,7 @@
 //! (naive scalar, cuSPARSE-like vector, dgSPARSE/GE-SpMM, Sputnik).
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, TileParams};
+use crate::simd::{stream_row, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -11,12 +11,10 @@ use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
 use lf_sparse::{CsrMatrix, DenseMatrix, Result, SparseError};
 
 /// Row-parallel CSR SpMM with an explicit execution tile. Each output
-/// row has exactly one writer, so workers accumulate straight into their
-/// disjoint `C` rows — no atomics, no per-row scratch allocation. Each
-/// row's `(coeff, B-row)` pairs are gathered in `k_block` chunks and
-/// applied through the shared microkernel; per-element accumulation
-/// order is ascending-k in every lane mode, so all modes are bitwise
-/// identical.
+/// row has exactly one writer, so workers stream each row straight into
+/// their disjoint `C` row through the shared microkernel — no atomics,
+/// no per-row scratch. Per-element accumulation order is ascending-k in
+/// every lane mode, so all modes are bitwise identical.
 pub(crate) fn parallel_csr_spmm_tiled<T: AtomicScalar>(
     csr: &CsrMatrix<T>,
     b: &DenseMatrix<T>,
@@ -31,22 +29,13 @@ pub(crate) fn parallel_csr_spmm_tiled<T: AtomicScalar>(
     }
     let j = b.cols();
     let mut c = DenseMatrix::zeros(csr.rows(), j);
-    let lanes = tile.lanes.resolve::<T>();
-    let k_block = tile.k_block_clamped();
     {
         let out = DisjointSlice::new(c.as_mut_slice());
         parallel_for(csr.rows(), default_workers(), |i| {
             // SAFETY: `parallel_for` hands each row index to exactly one
             // worker, so the `i * j .. (i + 1) * j` windows never overlap.
             let crow = unsafe { out.slice_mut(i * j, j) };
-            let mut gather: Gather<'_, T> = Gather::new();
-            for (&k, &a) in csr.row_cols(i).iter().zip(csr.row_values(i)) {
-                gather.push(a, b.row(k as usize));
-                if gather.full(k_block) {
-                    gather.flush_into(lanes, crow, 0);
-                }
-            }
-            gather.flush_into(lanes, crow, 0);
+            stream_row(&tile, crow, csr.row_cols(i), csr.row_values(i), b);
         });
     }
     Ok(c)

@@ -3,7 +3,7 @@
 //! compute/traffic — the inefficiency CELL's buckets remove.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, TileParams};
+use crate::simd::{stream_row, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -54,29 +54,18 @@ impl<T: AtomicScalar> EllKernel<T> {
         let (rows, _) = self.ell.shape();
         let j = b.cols();
         let width = self.ell.width();
-        let lanes = tile.lanes.resolve::<T>();
-        let k_block = tile.k_block_clamped();
         let mut c = DenseMatrix::zeros(rows, j);
         {
-            // Rows are disjoint: accumulate straight into the output row.
+            // Rows are disjoint: stream each straight into its output row.
             let out = DisjointSlice::new(c.as_mut_slice());
             parallel_for(rows, default_workers(), |i| {
                 // SAFETY: each row index goes to exactly one worker.
                 let crow = unsafe { out.slice_mut(i * j, j) };
-                // Gather-outer: the PAD break and slot walk leave the
-                // inner loop; strips sweep per k-block.
-                let mut gather: Gather<'_, T> = Gather::new();
-                for w in 0..width {
-                    let (col, val) = self.ell.slot(i, w);
-                    if col == ELL_PAD {
-                        break;
-                    }
-                    gather.push(val, b.row(col as usize));
-                    if gather.full(k_block) {
-                        gather.flush_into(lanes, crow, 0);
-                    }
-                }
-                gather.flush_into(lanes, crow, 0);
+                let cols = &self.ell.col_ind()[i * width..(i + 1) * width];
+                // Padding is trailing: stream the row's real prefix only.
+                let len = cols.iter().position(|&c| c == ELL_PAD).unwrap_or(width);
+                let vals = &self.ell.values()[i * width..i * width + len];
+                stream_row(&tile, crow, &cols[..len], vals, b);
             });
         }
         Ok(c)

@@ -46,7 +46,7 @@ pub use cell::CellKernel;
 pub use csr::{CsrScalarKernel, CsrVectorKernel, DgSparseKernel, SputnikKernel};
 pub use ellpack::EllKernel;
 pub use sell::SellKernel;
-pub use simd::{accumulate_block, dispatched_lanes, Gather, Lanes, TileParams, MAX_K_BLOCK};
+pub use simd::{dispatched_lanes, stream_row, Lanes, TileParams, MAX_K_BLOCK};
 pub use spmv::{spmv, spmv_profile};
 pub use taco::{TacoKernel, TacoSchedule};
 

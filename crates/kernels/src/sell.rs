@@ -5,7 +5,7 @@
 //! similar length from across the matrix the way CELL buckets do.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, TileParams};
+use crate::simd::{stream_row, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -55,35 +55,25 @@ impl<T: AtomicScalar> SellKernel<T> {
             });
         }
         let j = b.cols();
-        let lanes = tile.lanes.resolve::<T>();
-        let k_block = tile.k_block_clamped();
         let mut c = DenseMatrix::zeros(rows, j);
         {
-            // Slices cover disjoint row ranges: accumulate straight into
-            // the slice's output rows.
+            // Slices cover disjoint row ranges: stream each row straight
+            // into its output row.
             let out = DisjointSlice::new(c.as_mut_slice());
             let slices = self.sell.slices();
             parallel_for(slices.len(), default_workers(), |si| {
                 let slice = &slices[si];
-                let mut gather: Gather<'_, T> = Gather::new();
+                let w = slice.width;
                 for local in 0..slice.height {
                     let row = slice.row_start + local;
                     // SAFETY: each slice (hence each row) goes to exactly
                     // one worker.
                     let crow = unsafe { out.slice_mut(row * j, j) };
-                    // Gather-outer: PAD break and slot walk leave the
-                    // inner loop; strips sweep per k-block.
-                    for k in 0..slice.width {
-                        let col = slice.col_ind[local * slice.width + k];
-                        if col == ELL_PAD {
-                            break;
-                        }
-                        gather.push(slice.values[local * slice.width + k], b.row(col as usize));
-                        if gather.full(k_block) {
-                            gather.flush_into(lanes, crow, 0);
-                        }
-                    }
-                    gather.flush_into(lanes, crow, 0);
+                    let cols = &slice.col_ind[local * w..(local + 1) * w];
+                    // Padding is trailing: stream the row's real prefix only.
+                    let len = cols.iter().position(|&c| c == ELL_PAD).unwrap_or(w);
+                    let vals = &slice.values[local * w..local * w + len];
+                    stream_row(&tile, crow, &cols[..len], vals, b);
                 }
             });
         }

@@ -1,62 +1,78 @@
 //! Portable SIMD microkernel layer for the numeric hot paths.
 //!
-//! Every SpMM kernel's inner loop is some flavor of
-//! `acc[s] += a_i · B[col_i][s]` over a handful of gathered non-zeros.
-//! This module factors that loop into one register-blocked microkernel,
-//! [`accumulate_block`]: callers gather up to [`MAX_K_BLOCK`]
-//! `(coefficient, B-row)` pairs into fixed stack arrays and the
-//! microkernel sweeps the output strip once, keeping a wide strip of
-//! accumulators in registers across the whole block — the k-blocking
-//! that lets a block of `B` rows stream through L1 exactly once per
-//! `j_tile` instead of once per accumulator load/store. Every kernel
-//! has exactly one numeric loop: gather, then [`Gather::flush_into`].
+//! Every SpMM kernel's inner loop is `C[r][s] += Σ_k a_k · B[col_k][s]`
+//! over one sparse row's non-zeros. This module is that loop, once:
+//! [`stream_row`] takes a row's `cols`/`vals` slices and `B`, and holds
+//! a strip of `C` in registers while the row's `B` rows stream through
+//! it — the shape of the paper's Algorithm 2, which reads a block's
+//! `col_ind`/`val` arrays and accumulates straight into registers. Every
+//! kernel's numeric loop is one `stream_row` call per sparse row (or row
+//! fragment); nothing is copied between the sparse arrays and the
+//! accumulators.
+//!
+//! # Strips and `k_block`
+//!
+//! A j-tile of `C` is covered by a cascade of register strips of
+//! `LANES`-wide groups: as many 8-group strips as fit, then at most one
+//! 4-group, one 2-group and one 1-group strip, then one remainder strip
+//! of `1..LANES` lanes. Every strip width is a compile-time constant, so
+//! each strip is a fixed set of independent accumulator chains, and a
+//! narrow tile never falls into one-group passes bound by a single add
+//! chain. When the tile is at most one full strip wide (`LANES × 8`
+//! elements), each of its strips streams the whole row: `C` is loaded
+//! and stored once per row. A wider tile streams the row in
+//! `k_block`-slot chunks and every strip sweeps a chunk before the next
+//! chunk starts, so that chunk's `B` rows stay L1-resident across the
+//! strips.
 //!
 //! # Lane modes and dispatch
 //!
-//! Three shapes share the same arithmetic:
-//!
 //! * [`Lanes::Scalar`] — the one-lane arm: an element-wise sweep, one
-//!   gathered `B` row at a time across the whole strip (the shape
+//!   `B` row at a time across the whole `C` row (the shape
 //!   `lf_sim::calibrate` times as its scalar axpy);
-//! * [`Lanes::X4`] / [`Lanes::X8`] — explicit 4/8-lane unrolled strips
-//!   the autovectorizer lowers to full-width vector code; on x86_64
-//!   with AVX2 detected at runtime the same generic body is entered
-//!   through a `#[target_feature(enable = "avx2")]` clone so 8-lane
-//!   `f32` strips use 256-bit registers even though the crate's
+//! * [`Lanes::X4`] / [`Lanes::X8`] — the strip cascade over 4/8-lane
+//!   groups, which the autovectorizer lowers to full-width vector code;
+//!   on x86_64 with AVX2 detected at runtime the same generic body is
+//!   entered through a `#[target_feature(enable = "avx2")]` clone so
+//!   8-lane `f32` groups use 256-bit registers even though the crate's
 //!   baseline codegen is SSE2.
 //!
-//! [`Lanes::Auto`] resolves to the widest shape the machine supports;
-//! a caller that wants the one-lane arm asks for it explicitly with
-//! `TileParams::with_lanes(Lanes::Scalar)`.
+//! [`Lanes::Auto`] resolves to the widest shape the machine supports
+//! before dispatch; a caller that wants the one-lane arm asks for it
+//! explicitly with `TileParams::with_lanes(Lanes::Scalar)`.
 //!
 //! # Bitwise determinism
 //!
-//! For any fixed output element `C[r][s]`, every lane mode accumulates
-//! the same partial products in the same ascending-`k` order (lane
-//! grouping only changes which *elements* share a register, never one
-//! element's own reduction order), and no mode uses fused
-//! multiply-add. All lane modes therefore produce **bitwise identical**
-//! results on single-writer paths — the property
+//! For any fixed output element `C[r][s]`, every lane mode, tile and
+//! chunking accumulates the same partial products in the same
+//! ascending-`k` order (lane grouping only changes which *elements*
+//! share a register, never one element's own reduction order), and no
+//! mode uses fused multiply-add. All lane modes therefore produce
+//! **bitwise identical** results on single-writer paths — the property
 //! `engine_edge_cases::scalar_and_wide_tiles_agree_for_every_kernel` and
 //! the differential fuzzer pin down.
 
-use lf_sparse::Scalar;
+use lf_sparse::ell::ELL_PAD;
+use lf_sparse::{DenseMatrix, Index, Scalar};
 
-/// Maximum gathered non-zeros per [`accumulate_block`] call. Gather
-/// buffers are fixed stack arrays of this size; the tile search only
-/// ever picks `k_block <= MAX_K_BLOCK`.
+/// Maximum `k_block`: the deepest row chunk a multi-strip j-tile streams
+/// before its strips move on. The tile search only ever picks
+/// `k_block <= MAX_K_BLOCK`.
 pub const MAX_K_BLOCK: usize = 32;
+
+/// Lane groups in a full register strip.
+const GROUPS: usize = 8;
 
 /// Vector lane shape of the microkernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Lanes {
     /// Resolve to the widest available shape at kernel entry.
     Auto,
-    /// The one-lane arm: an element-wise sweep per gathered row.
+    /// The one-lane arm: an element-wise sweep per `B` row.
     Scalar,
-    /// 4-lane unrolled strips.
+    /// 4-lane strip groups.
     X4,
-    /// 8-lane unrolled strips (requires AVX2 on x86_64 for full-width
+    /// 8-lane strip groups (requires AVX2 on x86_64 for full-width
     /// codegen; still correct — just narrower — anywhere else).
     X8,
 }
@@ -115,9 +131,10 @@ pub struct TileParams {
     /// its byte size is type- and `J`-dependent (`128 × f64` = 1 KiB,
     /// `128 × f32` = 512 B).
     pub j_tile: usize,
-    /// Gathered non-zeros per microkernel call (clamped to
-    /// [`MAX_K_BLOCK`]); `k_block × j_tile × size_of::<T>()` is the `B`
-    /// working set the tile search keeps L1-resident.
+    /// Row slots per streamed chunk when a j-tile spans more than one
+    /// register strip (clamped to [`MAX_K_BLOCK`]);
+    /// `k_block × j_tile × size_of::<T>()` is the `B` working set the
+    /// tile search keeps L1-resident.
     pub k_block: usize,
     /// Lane shape (default [`Lanes::Auto`]).
     pub lanes: Lanes,
@@ -143,252 +160,248 @@ impl TileParams {
         self
     }
 
-    /// `k_block` clamped to the gather-buffer capacity.
+    /// `k_block` clamped to `1..=MAX_K_BLOCK`.
     pub fn k_block_clamped(&self) -> usize {
         self.k_block.clamp(1, MAX_K_BLOCK)
     }
 }
 
-/// The register-blocked strip sweep shared by every lane mode:
-/// `acc[s] += Σ_i coeffs[i] · rows[i][offset + s]`.
+/// Stream one sparse row into a `C` row:
+/// `c_row[s] += Σ_k vals[k] · B[cols[k]][s]` over the slots whose column
+/// is not `ELL_PAD`, in ascending `k` for every element, under `tile`'s
+/// j-tile, k-block depth and lane shape ([`Lanes::Auto`] is resolved
+/// here).
 ///
-/// Strips of `GROUPS × LANES` accumulator elements are loaded into
-/// local arrays (registers after vectorization), all `coeffs.len()`
-/// gathered rows are applied, and the strip is stored back — one
-/// acc load/store per strip per *block* instead of per non-zero.
-/// Remainders fall through a single-group loop and a scalar tail.
+/// Per-element accumulation order is ascending `k` in every lane mode,
+/// tile and chunking, and no mode fuses multiply-adds, so all of them
+/// produce bitwise identical `c_row` contents.
 ///
-/// # Safety
+/// # Panics
 ///
-/// Every `rows[i]` must be at least `offset + acc.len()` elements long
-/// (debug-asserted). `coeffs.len()` must equal `rows.len()`.
-#[inline(always)]
-unsafe fn block_body<T: Scalar, const LANES: usize, const GROUPS: usize>(
-    acc: &mut [T],
-    coeffs: &[T],
-    rows: &[&[T]],
-    offset: usize,
+/// If `c_row.len() != b.cols()`, `cols.len() != vals.len()`, or a
+/// non-padding column index is not a row of `b`. The check is one pass
+/// over `cols` per call, before any `B` read.
+pub fn stream_row<T: Scalar>(
+    tile: &TileParams,
+    c_row: &mut [T],
+    cols: &[Index],
+    vals: &[T],
+    b: &DenseMatrix<T>,
 ) {
-    debug_assert_eq!(coeffs.len(), rows.len());
-    debug_assert!(rows.iter().all(|r| r.len() >= offset + acc.len()));
-    let n = acc.len();
-    let kb = coeffs.len();
-    let strip = LANES * GROUPS;
-    let mut s = 0;
-    while s + strip <= n {
-        let mut r = [[T::ZERO; LANES]; GROUPS];
-        for (g, rg) in r.iter_mut().enumerate() {
-            for (l, rv) in rg.iter_mut().enumerate() {
-                // SAFETY: s + strip <= n == acc.len().
-                *rv = unsafe { *acc.get_unchecked(s + g * LANES + l) };
-            }
-        }
-        for i in 0..kb {
-            // SAFETY: i < kb == coeffs.len() == rows.len().
-            let a = unsafe { *coeffs.get_unchecked(i) };
-            let row = unsafe { *rows.get_unchecked(i) };
-            for (g, rg) in r.iter_mut().enumerate() {
-                for (l, rv) in rg.iter_mut().enumerate() {
-                    // SAFETY: offset + s + strip <= offset + acc.len()
-                    // <= row.len() (caller contract, debug-asserted).
-                    *rv += a * unsafe { *row.get_unchecked(offset + s + g * LANES + l) };
-                }
-            }
-        }
-        for (g, rg) in r.iter().enumerate() {
-            for (l, rv) in rg.iter().enumerate() {
-                // SAFETY: s + strip <= n == acc.len().
-                unsafe { *acc.get_unchecked_mut(s + g * LANES + l) = *rv };
-            }
-        }
-        s += strip;
-    }
-    while s + LANES <= n {
-        let mut r = [T::ZERO; LANES];
-        for (l, rv) in r.iter_mut().enumerate() {
-            // SAFETY: s + LANES <= n == acc.len().
-            *rv = unsafe { *acc.get_unchecked(s + l) };
-        }
-        for i in 0..kb {
-            // SAFETY: i < kb; offset + s + LANES <= row.len() as above.
-            let a = unsafe { *coeffs.get_unchecked(i) };
-            let row = unsafe { *rows.get_unchecked(i) };
-            for (l, rv) in r.iter_mut().enumerate() {
-                *rv += a * unsafe { *row.get_unchecked(offset + s + l) };
-            }
-        }
-        for (l, rv) in r.iter().enumerate() {
-            // SAFETY: s + LANES <= n == acc.len().
-            unsafe { *acc.get_unchecked_mut(s + l) = *rv };
-        }
-        s += LANES;
-    }
-    while s < n {
-        // SAFETY: s < n == acc.len().
-        let mut r = unsafe { *acc.get_unchecked(s) };
-        for i in 0..kb {
-            // SAFETY: i < kb; offset + s < row.len() as above.
-            let a = unsafe { *coeffs.get_unchecked(i) };
-            let row = unsafe { *rows.get_unchecked(i) };
-            r += a * unsafe { *row.get_unchecked(offset + s) };
-        }
-        // SAFETY: s < n == acc.len().
-        unsafe { *acc.get_unchecked_mut(s) = r };
-        s += 1;
-    }
-}
-
-/// The same generic body entered with AVX2 codegen: LLVM re-lowers the
-/// lane arrays onto 256-bit registers. No FMA is enabled — fused
-/// multiply-adds would change result bits vs. the scalar path.
-///
-/// # Safety
-///
-/// The caller must have verified AVX2 support at runtime (the
-/// `is_x86_feature_detected!` gate in the dispatcher) before calling.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn block_body_avx2<T: Scalar, const LANES: usize, const GROUPS: usize>(
-    acc: &mut [T],
-    coeffs: &[T],
-    rows: &[&[T]],
-    offset: usize,
-) {
-    // SAFETY: forwarded caller contract (row lengths / coeff count).
-    unsafe { block_body::<T, LANES, GROUPS>(acc, coeffs, rows, offset) }
-}
-
-/// Accumulate one gathered k-block into an output strip:
-/// `acc[s] += Σ_i coeffs[i] · rows[i][offset + s]` for `s in
-/// 0..acc.len()`, using the lane shape `lanes` (which must be concrete —
-/// resolve [`Lanes::Auto`] first).
-///
-/// Per-element accumulation order is ascending `i` in every lane mode,
-/// and no mode fuses multiply-adds, so all modes produce bitwise
-/// identical `acc` contents.
-///
-/// # Safety
-///
-/// Every `rows[i]` must be at least `offset + acc.len()` elements long,
-/// and `coeffs.len()` must equal `rows.len()`.
-pub unsafe fn accumulate_block<T: Scalar>(
-    lanes: Lanes,
-    acc: &mut [T],
-    coeffs: &[T],
-    rows: &[&[T]],
-    offset: usize,
-) {
-    match lanes {
+    // `ELL_PAD + 1` wraps to 0, so the max is `1 + the largest real
+    // column` (0 for an all-padding row): one branch-free pass.
+    let bound = cols.iter().fold(0, |m, &c| m.max(c.wrapping_add(1)));
+    // lf-lint: allow(panic-path): trips only on an operand that skipped validation, and before any unchecked `B` read; serving executes under catch_unwind
+    assert!(
+        c_row.len() == b.cols() && cols.len() == vals.len() && bound as usize <= b.rows(),
+        "stream_row out of bounds: C row of {} for B {:?}, {} columns for {} values, column {}",
+        c_row.len(),
+        b.shape(),
+        cols.len(),
+        vals.len(),
+        bound.wrapping_sub(1),
+    );
+    let (data, ld) = (b.as_slice(), b.cols());
+    match tile.lanes.resolve::<T>() {
+        // `resolve` never returns `Auto`; the arm only completes the match.
         Lanes::Scalar | Lanes::Auto => {
-            // One gathered row at a time across the whole strip: per
-            // element the same products in the same ascending-i order
-            // as the strip arms.
-            for (&a, row) in coeffs.iter().zip(rows) {
-                for (cv, &bv) in acc.iter_mut().zip(&row[offset..]) {
+            for (&col, &a) in cols.iter().zip(vals) {
+                if col == ELL_PAD {
+                    continue;
+                }
+                for (cv, &bv) in c_row.iter_mut().zip(b.row(col as usize)) {
                     *cv += a * bv;
                 }
             }
         }
         Lanes::X4 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2_available() {
-                // SAFETY: AVX2 verified at runtime; row-length contract
-                // forwarded from the caller.
-                return unsafe { block_body_avx2::<T, 4, 8>(acc, coeffs, rows, offset) };
-            }
-            // SAFETY: forwarded caller contract.
-            unsafe { block_body::<T, 4, 8>(acc, coeffs, rows, offset) }
+            // SAFETY: every non-padding column was checked above to be a
+            // row of `B`, and `c_row.len() == ld`.
+            unsafe { dispatch::<T, 4>(tile, c_row, cols, vals, data, ld) }
         }
         Lanes::X8 => {
-            #[cfg(target_arch = "x86_64")]
-            if avx2_available() {
-                // SAFETY: AVX2 verified at runtime; row-length contract
-                // forwarded from the caller.
-                return unsafe { block_body_avx2::<T, 8, 8>(acc, coeffs, rows, offset) };
+            // SAFETY: as for `X4`.
+            unsafe { dispatch::<T, 8>(tile, c_row, cols, vals, data, ld) }
+        }
+    }
+}
+
+/// Enter [`row_body`] through the AVX2 clone when the CPU has it.
+///
+/// # Safety
+///
+/// Every non-`ELL_PAD` entry of `cols` is `< b.len() / ld`, and
+/// `c_row.len() <= ld`.
+#[inline(always)]
+unsafe fn dispatch<T: Scalar, const L: usize>(
+    tile: &TileParams,
+    c_row: &mut [T],
+    cols: &[Index],
+    vals: &[T],
+    b: &[T],
+    ld: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_available() {
+        // SAFETY: AVX2 verified at runtime; the column contract is
+        // forwarded from the caller.
+        return unsafe { row_body_avx2::<T, L>(tile, c_row, cols, vals, b, ld) };
+    }
+    // SAFETY: forwarded caller contract.
+    unsafe { row_body::<T, L>(tile, c_row, cols, vals, b, ld) }
+}
+
+/// [`row_body`] entered with AVX2 codegen: LLVM re-lowers the lane
+/// arrays onto 256-bit registers. No FMA is enabled — fused
+/// multiply-adds would change result bits vs. the scalar arm.
+///
+/// # Safety
+///
+/// AVX2 must have been verified at runtime, plus [`dispatch`]'s
+/// contract.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn row_body_avx2<T: Scalar, const L: usize>(
+    tile: &TileParams,
+    c_row: &mut [T],
+    cols: &[Index],
+    vals: &[T],
+    b: &[T],
+    ld: usize,
+) {
+    // SAFETY: forwarded caller contract.
+    unsafe { row_body::<T, L>(tile, c_row, cols, vals, b, ld) }
+}
+
+/// The j-tile loop: a tile at most one full strip wide streams the
+/// whole row, a wider one streams it in `k_block`-slot chunks.
+///
+/// # Safety
+///
+/// [`dispatch`]'s contract.
+#[inline(always)]
+unsafe fn row_body<T: Scalar, const L: usize>(
+    tile: &TileParams,
+    c_row: &mut [T],
+    cols: &[Index],
+    vals: &[T],
+    b: &[T],
+    ld: usize,
+) {
+    let (n, step, k_block) = (c_row.len(), tile.j_tile.max(1), tile.k_block_clamped());
+    let mut lo = 0;
+    while lo < n {
+        let hi = n.min(lo.saturating_add(step));
+        let acc = &mut c_row[lo..hi];
+        if hi - lo <= L * GROUPS {
+            // SAFETY: forwarded; `hi <= c_row.len() <= ld`.
+            unsafe { sweep::<T, L>(acc, lo, cols, vals, b, ld) };
+        } else {
+            let mut k = 0;
+            while k < cols.len() {
+                let end = cols.len().min(k + k_block);
+                // SAFETY: as above, on a sub-range of the row's slots.
+                unsafe { sweep::<T, L>(acc, lo, &cols[k..end], &vals[k..end], b, ld) };
+                k = end;
             }
-            // SAFETY: forwarded caller contract.
-            unsafe { block_body::<T, 8, 8>(acc, coeffs, rows, offset) }
+        }
+        lo = hi;
+    }
+}
+
+/// Sweep `cols`/`vals` through the strip cascade covering `acc`, the
+/// `C` elements `offset..offset + acc.len()`.
+///
+/// # Safety
+///
+/// [`dispatch`]'s column contract, and `offset + acc.len() <= ld`.
+#[inline(always)]
+unsafe fn sweep<T: Scalar, const L: usize>(
+    acc: &mut [T],
+    offset: usize,
+    cols: &[Index],
+    vals: &[T],
+    b: &[T],
+    ld: usize,
+) {
+    let n = acc.len();
+    let mut s = 0;
+    while n - s >= L * GROUPS {
+        // SAFETY: `s + L·GROUPS <= n`, so the strip lies inside the tile
+        // (`offset + n <= ld`); the column contract is forwarded.
+        unsafe { strip::<T, L, GROUPS>(&mut acc[s..], offset + s, cols, vals, b, ld) };
+        s += L * GROUPS;
+    }
+    if n - s >= L * 4 {
+        // SAFETY: `s + 4·L <= n`, as above.
+        unsafe { strip::<T, L, 4>(&mut acc[s..], offset + s, cols, vals, b, ld) };
+        s += L * 4;
+    }
+    if n - s >= L * 2 {
+        // SAFETY: `s + 2·L <= n`, as above.
+        unsafe { strip::<T, L, 2>(&mut acc[s..], offset + s, cols, vals, b, ld) };
+        s += L * 2;
+    }
+    if n - s >= L {
+        // SAFETY: `s + L <= n`, as above.
+        unsafe { strip::<T, L, 1>(&mut acc[s..], offset + s, cols, vals, b, ld) };
+        s += L;
+    }
+    let (tail, o) = (&mut acc[s..], offset + s);
+    // SAFETY: each arm's strip is exactly the `n - s < L <= 8` elements
+    // left, as above.
+    unsafe {
+        match n - s {
+            1 => strip::<T, 1, 1>(tail, o, cols, vals, b, ld),
+            2 => strip::<T, 2, 1>(tail, o, cols, vals, b, ld),
+            3 => strip::<T, 3, 1>(tail, o, cols, vals, b, ld),
+            4 => strip::<T, 4, 1>(tail, o, cols, vals, b, ld),
+            5 => strip::<T, 5, 1>(tail, o, cols, vals, b, ld),
+            6 => strip::<T, 6, 1>(tail, o, cols, vals, b, ld),
+            7 => strip::<T, 7, 1>(tail, o, cols, vals, b, ld),
+            _ => {}
         }
     }
 }
 
-/// Fixed-capacity gather buffer for one k-block: the `(coefficient,
-/// B-row)` pairs of up to [`MAX_K_BLOCK`] non-zeros. Lives on the
-/// stack / in per-worker scratch — gathering never allocates.
-pub struct Gather<'b, T> {
-    coeffs: [T; MAX_K_BLOCK],
-    rows: [&'b [T]; MAX_K_BLOCK],
-    len: usize,
-}
-
-impl<'b, T: Scalar> Gather<'b, T> {
-    /// An empty gather buffer.
-    #[inline]
-    pub fn new() -> Self {
-        Gather {
-            coeffs: [T::ZERO; MAX_K_BLOCK],
-            rows: [&[]; MAX_K_BLOCK],
-            len: 0,
+/// One register strip of `G × L` accumulators: load `acc[..G·L]`, add
+/// `vals[k] · B[cols[k]][offset..offset + G·L]` for every non-padding
+/// slot in ascending `k`, store.
+///
+/// # Safety
+///
+/// [`dispatch`]'s column contract, `acc.len() >= G·L` and
+/// `offset + G·L <= ld`.
+#[inline(always)]
+unsafe fn strip<T: Scalar, const L: usize, const G: usize>(
+    acc: &mut [T],
+    offset: usize,
+    cols: &[Index],
+    vals: &[T],
+    b: &[T],
+    ld: usize,
+) {
+    let acc = &mut acc[..G * L];
+    let mut r = [[T::ZERO; L]; G];
+    for (g, rg) in r.iter_mut().enumerate() {
+        rg.copy_from_slice(&acc[g * L..(g + 1) * L]);
+    }
+    for (&col, &a) in cols.iter().zip(vals) {
+        if col == ELL_PAD {
+            continue;
+        }
+        let base = col as usize * ld + offset;
+        // SAFETY: `col < b.len() / ld` and `offset + G·L <= ld` (caller
+        // contract), so `base + G·L <= (col + 1) · ld <= b.len()`.
+        let row = unsafe { b.get_unchecked(base..base + G * L) };
+        for (g, rg) in r.iter_mut().enumerate() {
+            for (l, rv) in rg.iter_mut().enumerate() {
+                *rv += a * row[g * L + l];
+            }
         }
     }
-
-    /// Number of gathered pairs.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when nothing is gathered.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Append one `(coefficient, B-row)` pair. Caller keeps
-    /// `len() < MAX_K_BLOCK` (checked in debug builds).
-    #[inline]
-    pub fn push(&mut self, coeff: T, row: &'b [T]) {
-        debug_assert!(self.len < MAX_K_BLOCK);
-        self.coeffs[self.len] = coeff;
-        self.rows[self.len] = row;
-        self.len += 1;
-    }
-
-    /// `true` once the buffer holds `k_block` pairs.
-    #[inline]
-    pub fn full(&self, k_block: usize) -> bool {
-        self.len >= k_block.min(MAX_K_BLOCK)
-    }
-
-    /// Flush the gathered block into `acc` (then reset):
-    /// `acc[s] += Σ_i coeff_i · row_i[offset + s]`.
-    ///
-    /// `lanes` must be concrete (resolve [`Lanes::Auto`] first).
-    #[inline]
-    pub fn flush_into(&mut self, lanes: Lanes, acc: &mut [T], offset: usize) {
-        if self.len == 0 {
-            return;
-        }
-        // SAFETY: callers only push rows with `len >= offset +
-        // acc.len()` (each gathered row is a full `B` row of `j >=
-        // offset + acc.len()` elements); coeffs/rows lengths match by
-        // construction of this buffer.
-        unsafe {
-            accumulate_block(
-                lanes,
-                acc,
-                &self.coeffs[..self.len],
-                &self.rows[..self.len],
-                offset,
-            );
-        }
-        self.len = 0;
-    }
-}
-
-impl<T: Scalar> Default for Gather<'_, T> {
-    fn default() -> Self {
-        Self::new()
+    for (g, rg) in r.iter().enumerate() {
+        acc[g * L..(g + 1) * L].copy_from_slice(rg);
     }
 }
 
@@ -396,101 +409,70 @@ impl<T: Scalar> Default for Gather<'_, T> {
 mod tests {
     use super::*;
 
-    fn reference(acc: &mut [f64], coeffs: &[f64], rows: &[&[f64]], offset: usize) {
-        for s in 0..acc.len() {
-            for (a, r) in coeffs.iter().zip(rows) {
-                acc[s] += a * r[offset + s];
+    /// `c[s] += Σ_k vals[k] · B[cols[k]][s]` in ascending `k`, one
+    /// element at a time — the contract order.
+    fn reference<T: Scalar>(c: &mut [T], cols: &[Index], vals: &[T], b: &DenseMatrix<T>) {
+        for (s, cv) in c.iter_mut().enumerate() {
+            for (&col, &a) in cols.iter().zip(vals) {
+                if col != ELL_PAD {
+                    *cv += a * b.get(col as usize, s);
+                }
             }
         }
     }
 
-    fn mk_rows(k: usize, len: usize, seed: u64) -> Vec<Vec<f64>> {
-        let mut state = seed;
-        let mut rand = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as i64 % 1000) as f64 / 997.0 - 0.5
-        };
-        (0..k).map(|_| (0..len).map(|_| rand()).collect()).collect()
+    /// Every width 1..=136 (all cascade branches and remainders for 4 and
+    /// 8 lanes), j-tiles that put strips at non-zero offsets, every lane
+    /// mode and k-block depths 1, 3 and 32, on a 40-slot row with padding
+    /// mid-row and trailing: bitwise equal to the reference.
+    fn sweep_widths<T: Scalar>() {
+        let k = 23;
+        let mut cols: Vec<Index> = (0..40).map(|i| (i * 7 % k) as Index).collect();
+        for p in [3, 4, 17, 36, 37, 38, 39] {
+            cols[p] = ELL_PAD;
+        }
+        let vals: Vec<T> = (0..40)
+            .map(|i| T::from_f64((i as f64 - 19.5) * 0.37))
+            .collect();
+        for j in 1..=136 {
+            let b = DenseMatrix::from_fn(k, j, |r, s| {
+                T::from_f64(((r * 31 + s * 7) % 29) as f64 / 7.0 - 2.0)
+            });
+            let init: Vec<T> = (0..j).map(|s| T::from_f64(s as f64 * 0.125)).collect();
+            let mut want = init.clone();
+            reference(&mut want, &cols, &vals, &b);
+            let want: Vec<f64> = want.iter().map(|v| v.to_f64()).collect();
+            for j_tile in [usize::MAX, 40, 7] {
+                for k_block in [1, 3, 32] {
+                    for lanes in [Lanes::Scalar, Lanes::X4, Lanes::X8] {
+                        let tile = TileParams {
+                            j_tile,
+                            k_block,
+                            lanes,
+                            chunk_slots: 1,
+                        };
+                        let mut got = init.clone();
+                        stream_row(&tile, &mut got, &cols, &vals, &b);
+                        let got: Vec<f64> = got.iter().map(|v| v.to_f64()).collect();
+                        // f32 -> f64 widening is exact, so equal images
+                        // mean equal bits.
+                        assert!(
+                            got.iter()
+                                .zip(&want)
+                                .all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "{} j={j} j_tile={j_tile} k_block={k_block} {lanes:?}",
+                            std::any::type_name::<T>()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn all_lane_modes_match_reference_order_bitwise() {
-        let check = |n: usize, offset: usize, kb: usize| {
-            let rows_owned = mk_rows(kb, offset + n, 42 + (n * 64 + kb) as u64);
-            let rows: Vec<&[f64]> = rows_owned.iter().map(|r| r.as_slice()).collect();
-            let coeffs: Vec<f64> = (0..kb).map(|i| (i as f64 - 1.5) * 0.75).collect();
-            let mut want = vec![0.25f64; n];
-            // The reference applies ascending i per element — the exact
-            // contract order.
-            reference(&mut want, &coeffs, &rows, offset);
-            let exp: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-            for lanes in [Lanes::Scalar, Lanes::X4, Lanes::X8] {
-                let mut acc = vec![0.25f64; n];
-                // SAFETY: rows are offset + n long by construction.
-                unsafe { accumulate_block(lanes, &mut acc, &coeffs, &rows, offset) };
-                let got: Vec<u64> = acc.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, exp, "lanes={lanes:?} n={n} offset={offset} kb={kb}");
-            }
-        };
-        for (n, offset, kb) in [(1, 0, 1), (7, 0, 3), (64, 0, 32), (65, 16, 5), (130, 3, 32)] {
-            check(n, offset, kb);
-        }
-        // The one-lane arm at every k-block depth, on odd strip lengths
-        // that leave remainders in both wide arms' strip and group loops.
-        for kb in 1..=MAX_K_BLOCK {
-            for (n, offset) in [(1, 0), (3, 2), (9, 0), (31, 1), (71, 4)] {
-                check(n, offset, kb);
-            }
-        }
-    }
-
-    #[test]
-    fn f32_lane_modes_agree_bitwise() {
-        let rows_owned: Vec<Vec<f32>> = (0..8)
-            .map(|i| {
-                (0..100)
-                    .map(|s| ((i * 31 + s * 7) % 23) as f32 * 0.125 - 1.0)
-                    .collect()
-            })
-            .collect();
-        let rows: Vec<&[f32]> = rows_owned.iter().map(|r| r.as_slice()).collect();
-        let coeffs: Vec<f32> = (0..8).map(|i| i as f32 * 0.5 - 2.0).collect();
-        let mut scalar = vec![0.0f32; 100];
-        // SAFETY: rows are 100 elements, acc is 100, offset 0.
-        unsafe { accumulate_block(Lanes::Scalar, &mut scalar, &coeffs, &rows, 0) };
-        for lanes in [Lanes::X4, Lanes::X8] {
-            let mut wide = vec![0.0f32; 100];
-            // SAFETY: as above.
-            unsafe { accumulate_block(lanes, &mut wide, &coeffs, &rows, 0) };
-            let a: Vec<u32> = scalar.iter().map(|v| v.to_bits()).collect();
-            let b: Vec<u32> = wide.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, b, "{lanes:?}");
-        }
-    }
-
-    #[test]
-    fn gather_buffer_accumulates_in_push_order() {
-        let rows_owned = mk_rows(5, 16, 9);
-        let rows: Vec<&[f64]> = rows_owned.iter().map(|r| r.as_slice()).collect();
-        let mut g: Gather<'_, f64> = Gather::new();
-        let mut want = [0.0f64; 16];
-        for (i, r) in rows.iter().enumerate() {
-            let c = 1.0 + i as f64;
-            g.push(c, r);
-            for (s, w) in want.iter_mut().enumerate() {
-                *w += c * r[s];
-            }
-        }
-        assert_eq!(g.len(), 5);
-        assert!(g.full(5) && !g.full(6));
-        let mut acc = vec![0.0f64; 16];
-        g.flush_into(Lanes::X8, &mut acc, 0);
-        assert!(g.is_empty());
-        // Wait-free double flush is a no-op.
-        g.flush_into(Lanes::X8, &mut acc, 0);
-        let got: Vec<u64> = acc.iter().map(|v| v.to_bits()).collect();
-        let exp: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, exp);
+        sweep_widths::<f32>();
+        sweep_widths::<f64>();
     }
 
     #[test]

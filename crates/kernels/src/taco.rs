@@ -4,7 +4,7 @@
 //! paper sweeps 6 × 6 schedules and keeps the fastest (§7.1).
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{Gather, TileParams};
+use crate::simd::{stream_row, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -132,8 +132,6 @@ impl<T: AtomicScalar> TacoKernel<T> {
         let nnz = self.csr.nnz();
         let seg = self.schedule.nnz_per_warp.max(1);
         let num_segs = nnz.div_ceil(seg).max(1);
-        let lanes = tile.lanes.resolve::<T>();
-        let k_block = tile.k_block_clamped();
         let mut c = DenseMatrix::zeros(self.csr.rows(), j);
         {
             let cells = T::as_cells(c.as_mut_slice());
@@ -167,31 +165,16 @@ impl<T: AtomicScalar> TacoKernel<T> {
                 |acc, s| {
                     let lo = s * seg;
                     let hi = ((s + 1) * seg).min(nnz);
-                    let mut cur_row = u32::MAX;
-                    // Runs of same-row non-zeros are gathered into
-                    // k-blocks and drained through the microkernel; the
-                    // accumulation order over a row's non-zeros stays
-                    // ascending in `p` in every lane mode.
-                    let mut gather = Gather::new();
-                    for p in lo..hi {
+                    // Each run of same-row non-zeros streams through the
+                    // microkernel in ascending `p`, then flushes.
+                    let mut p = lo;
+                    while p < hi {
                         let r = self.row_of_nnz[p];
-                        if r != cur_row {
-                            if cur_row != u32::MAX {
-                                gather.flush_into(lanes, acc, 0);
-                                flush(cells, cur_row, acc, lo, hi);
-                            }
-                            acc.fill(T::ZERO);
-                            cur_row = r;
-                        }
-                        gather.push(vals[p], b.row(cols[p] as usize));
-                        if gather.full(k_block) {
-                            gather.flush_into(lanes, acc, 0);
-                        }
-                    }
-                    if cur_row != u32::MAX {
-                        gather.flush_into(lanes, acc, 0);
-                        flush(cells, cur_row, acc, lo, hi);
+                        let end = row_ptr[r as usize + 1].clamp(p + 1, hi);
                         acc.fill(T::ZERO);
+                        stream_row(&tile, acc, &cols[p..end], &vals[p..end], b);
+                        flush(cells, r, acc, lo, hi);
+                        p = end;
                     }
                 },
             );

@@ -12,7 +12,9 @@
 //!
 //! Every structural [`fuzz_case`] class is swept for `f32` and `f64`
 //! under single- and multi-partition and width-capped (folding)
-//! configurations at `J ∈ {1, 3, 17, 64, 130}`.
+//! configurations at `J ∈ {1, 3, 8, 17, 33, 40, 64, 130}`, which reach
+//! every branch of the microkernel's strip cascade for 8-lane `f32` and
+//! 4-lane `f64` strips.
 
 use lf_cell::{build_cell, CellConfig};
 use lf_kernels::cell::CellKernel;
@@ -22,7 +24,7 @@ use lf_sparse::gen::{fuzz_case, FUZZ_CLASSES};
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
 use liteform_core::{PreparedPlan, PreprocessProfile};
 
-const JS: [usize; 5] = [1, 3, 17, 64, 130];
+const JS: [usize; 8] = [1, 3, 8, 17, 33, 40, 64, 130];
 
 /// Single-partition, multi-partition and width-capped builds; the capped
 /// ones fold every row longer than the cap.

@@ -6,20 +6,24 @@
 //!
 //! * numeric agreement with the sequential CSR reference for every kernel
 //!   across degenerate and tiling-boundary dense widths
-//!   (`J ∈ {0, 1, 7, 33, 256}` — 256 crosses the engine's accumulator
-//!   tile);
+//!   (`J ∈ {0, 1, 2, 7, 16, 33, 40, 256}` — the narrow widths hit the
+//!   microkernel's remainder and cascade strips, 256 crosses the
+//!   engine's accumulator tile);
+//! * out-of-range column indices in unvalidated operands stopping the
+//!   kernel before the microkernel's unchecked `B` reads;
 //! * empty buckets / empty partitions / empty matrices;
 //! * bitwise run-to-run determinism of the atomic-free paths;
 //! * the CELL single-writer fast path being bit-identical (modulo the
 //!   sign of zero) to the forced-atomic path (the Algorithm 2
 //!   `needs_atomic` contract).
 
-use lf_cell::{build_cell, CellConfig};
+use lf_cell::{build_cell, Bucket, CellConfig, CellMatrix, Partition};
 use lf_kernels::cell::{CellKernel, FusionMode};
 use lf_kernels::{
     BcsrKernel, CsrScalarKernel, CsrVectorKernel, DgSparseKernel, EllKernel, Lanes, SellKernel,
     SpmmKernel, SputnikKernel, TacoKernel, TacoSchedule, TileParams,
 };
+use lf_sparse::ell::ELL_PAD;
 use lf_sparse::gen::{mixed_regions, uniform_random, uniform_with_long_rows};
 use lf_sparse::{BcsrMatrix, CsrMatrix, DenseMatrix, EllMatrix, Pcg32, SellMatrix};
 use proptest::prelude::*;
@@ -47,7 +51,7 @@ fn every_kernel_matches_reference_at_edge_widths() {
     let csr = CsrMatrix::from_coo(&uniform_with_long_rows::<f64>(
         160, 140, 2200, 3, 120, &mut rng,
     ));
-    for j in [0usize, 1, 7, 33, 256] {
+    for j in [0usize, 1, 2, 7, 16, 33, 40, 256] {
         let b = DenseMatrix::random(csr.cols(), j, &mut rng);
         let want = csr.spmm_reference(&b).unwrap();
         for k in all_kernels(&csr) {
@@ -55,6 +59,57 @@ fn every_kernel_matches_reference_at_edge_widths() {
             assert_eq!(got.shape(), (csr.rows(), j), "{} J={j}", k.name());
             assert!(got.approx_eq(&want, 1e-9), "{} J={j}", k.name());
         }
+    }
+}
+
+/// `CellMatrix::from_parts` and `CsrMatrix::from_raw_unchecked` validate
+/// nothing, so a column index at or past `cols` reaches the kernel. The
+/// microkernel reads `B` unchecked; the kernel must stop — panic or
+/// `Err` — before any such read, on every lane shape.
+#[test]
+fn out_of_range_columns_stop_the_kernel_before_reading_b() {
+    let rejects = |run: &dyn Fn() -> lf_sparse::Result<DenseMatrix<f64>>| {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).map_or(true, |r| r.is_err())
+    };
+    let bucket = Bucket {
+        width: 2,
+        row_ind: vec![0, 1],
+        col_ind: vec![1, 4, 0, ELL_PAD],
+        values: vec![1.0, 2.0, 3.0, 0.0],
+        rows_per_block: 2,
+        needs_atomic: false,
+        has_folded: false,
+    };
+    let part = Partition {
+        col_range: (0, 4),
+        buckets: vec![bucket],
+    };
+    let cell = CellKernel::new(CellMatrix::from_parts(
+        2,
+        4,
+        3,
+        vec![part],
+        CellConfig::default(),
+    ));
+    let csr = CsrScalarKernel::new(CsrMatrix::from_raw_unchecked(
+        2,
+        4,
+        vec![0, 2, 3],
+        vec![1, 4, 0],
+        vec![1.0, 2.0, 3.0],
+    ));
+    // J = 16 puts column 4's slice exactly one row past the end of `B`.
+    let b = DenseMatrix::<f64>::zeros(4, 16);
+    assert!(rejects(&|| cell.run(&b)), "cell run");
+    assert!(
+        rejects(&|| cell.run_forced_atomic(&b)),
+        "cell forced atomic"
+    );
+    assert!(rejects(&|| csr.run(&b)), "csr run");
+    for lanes in [Lanes::Scalar, Lanes::X4, Lanes::X8] {
+        let tile = TileParams::default().with_lanes(lanes);
+        assert!(rejects(&|| cell.run_tiled(&b, tile)), "cell {lanes:?}");
+        assert!(rejects(&|| csr.run_tiled(&b, tile)), "csr {lanes:?}");
     }
 }
 

@@ -130,7 +130,7 @@ fn fuzz_differential_all_kernels_match_reference() {
         let want = csr.spmm_reference(&b).unwrap();
         // Differential on two axes at once: every kernel vs. the
         // sequential reference, AND the forced-scalar engine vs. the
-        // SIMD gather engine. Atomic-free kernels must agree with their
+        // SIMD strip engine. Atomic-free kernels must agree with their
         // scalar run *bitwise*; atomic mappings get the 1e-9 bound.
         let scalar_tile = TileParams::default().with_lanes(Lanes::Scalar);
         let wide_tile = TileParams {

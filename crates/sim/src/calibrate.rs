@@ -70,7 +70,7 @@ fn best_ns(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// Scalar accumulate: the exact shape of the microkernel's one-lane arm
-/// (`Lanes::Scalar` in `lf_kernels::simd`), one gathered row swept
+/// (`Lanes::Scalar` in `lf_kernels::simd`), one `B` row swept
 /// element-wise across the strip.
 fn axpy_scalar(acc: &mut [f32], a: f32, b: &[f32]) {
     for (cv, &bv) in acc.iter_mut().zip(b) {
@@ -112,56 +112,60 @@ fn axpy_lanes_dispatch<const LANES: usize>(acc: &mut [f32], a: f32, b: &[f32]) {
     axpy_lanes::<LANES>(acc, a, b);
 }
 
-/// Rows per block in the blocked-accumulate measurement (mirrors the
-/// kernels' typical gathered k-block depth).
+/// Slots per streamed row in the blocked-accumulate measurement (a
+/// typical `k_block` chunk).
 const BLOCK_K: usize = 8;
 
-/// Blocked accumulate — the *gather engine's* microkernel shape: load a
-/// `LANES × GROUPS` register strip from `acc` once, sweep `BLOCK_K`
-/// source rows through it, store once. This is the structure whose
-/// per-element cost the tile search compares across lane widths; a plain
-/// k=1 axpy cannot see the register-blocking advantage of wider strips
-/// (the k-loop amortizes the acc load/store and loop overhead).
+/// Streamed accumulate — the microkernel's real shape
+/// (`lf_kernels::simd::stream_row`): load a `LANES × GROUPS` register
+/// strip from `acc` once, stream `BLOCK_K` column-indexed rows of one
+/// row-major `B` buffer (row stride `ld`) through it, skipping padding
+/// slots, store once. This is the structure whose per-element cost the
+/// tile search compares across lane widths; a plain k=1 axpy cannot see
+/// the register-blocking advantage of wider strips (the slot loop
+/// amortizes the acc load/store and loop overhead).
 ///
 /// # Safety
 ///
-/// Every `rows[i]` must be at least `acc.len()` elements long
-/// (debug-asserted) — unchecked indexing mirrors the production
+/// Every non-padding `cols[i]` must name a row of `b`
+/// (`(cols[i] + 1) · ld <= b.len()`) and `acc.len() <= ld`
+/// (debug-asserted) — unchecked `B` reads mirror the production
 /// microkernel so the measurement sees the same codegen.
 #[inline(always)]
 unsafe fn axpy_block<const LANES: usize, const GROUPS: usize>(
     acc: &mut [f32],
-    coeffs: &[f32; BLOCK_K],
-    rows: &[&[f32]; BLOCK_K],
+    cols: &[u32; BLOCK_K],
+    vals: &[f32; BLOCK_K],
+    b: &[f32],
+    ld: usize,
 ) {
-    debug_assert!(rows.iter().all(|r| r.len() >= acc.len()));
-    let n = acc.len();
+    debug_assert!(acc.len() <= ld);
+    debug_assert!(cols
+        .iter()
+        .all(|&c| c == u32::MAX || (c as usize + 1) * ld <= b.len()));
     let strip = LANES * GROUPS;
     let mut s = 0;
-    while s + strip <= n {
+    while s + strip <= acc.len() {
         let mut r = [[0.0f32; LANES]; GROUPS];
         for (g, rg) in r.iter_mut().enumerate() {
-            for (l, rv) in rg.iter_mut().enumerate() {
-                // SAFETY: s + strip <= n == acc.len().
-                *rv = unsafe { *acc.get_unchecked(s + g * LANES + l) };
-            }
+            rg.copy_from_slice(&acc[s + g * LANES..s + (g + 1) * LANES]);
         }
-        for i in 0..BLOCK_K {
-            let a = coeffs[i];
-            let row = rows[i];
+        for (&c, &a) in cols.iter().zip(vals) {
+            if c == u32::MAX {
+                continue;
+            }
+            let base = c as usize * ld + s;
+            // SAFETY: `c` names a row of `b` and `s + strip <= acc.len()
+            // <= ld` (caller contract), so the strip lies inside row `c`.
+            let row = unsafe { b.get_unchecked(base..base + strip) };
             for (g, rg) in r.iter_mut().enumerate() {
                 for (l, rv) in rg.iter_mut().enumerate() {
-                    // SAFETY: s + strip <= n <= row.len() (caller
-                    // contract, debug-asserted above).
-                    *rv += a * unsafe { *row.get_unchecked(s + g * LANES + l) };
+                    *rv += a * row[g * LANES + l];
                 }
             }
         }
         for (g, rg) in r.iter().enumerate() {
-            for (l, rv) in rg.iter().enumerate() {
-                // SAFETY: s + strip <= n == acc.len().
-                unsafe { *acc.get_unchecked_mut(s + g * LANES + l) = *rv };
-            }
+            acc[s + g * LANES..s + (g + 1) * LANES].copy_from_slice(rg);
         }
         s += strip;
     }
@@ -169,35 +173,39 @@ unsafe fn axpy_block<const LANES: usize, const GROUPS: usize>(
 
 /// # Safety
 ///
-/// Forwarded caller contract from [`axpy_block`] (row lengths).
+/// Forwarded caller contract from [`axpy_block`] (column bounds).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn axpy_block_avx2<const LANES: usize, const GROUPS: usize>(
     acc: &mut [f32],
-    coeffs: &[f32; BLOCK_K],
-    rows: &[&[f32]; BLOCK_K],
+    cols: &[u32; BLOCK_K],
+    vals: &[f32; BLOCK_K],
+    b: &[f32],
+    ld: usize,
 ) {
-    // SAFETY: forwarded caller contract (row lengths).
-    unsafe { axpy_block::<LANES, GROUPS>(acc, coeffs, rows) }
+    // SAFETY: forwarded caller contract (column bounds).
+    unsafe { axpy_block::<LANES, GROUPS>(acc, cols, vals, b, ld) }
 }
 
 /// # Safety
 ///
-/// Forwarded caller contract from [`axpy_block`] (row lengths).
+/// Forwarded caller contract from [`axpy_block`] (column bounds).
 unsafe fn axpy_block_dispatch<const LANES: usize, const GROUPS: usize>(
     acc: &mut [f32],
-    coeffs: &[f32; BLOCK_K],
-    rows: &[&[f32]; BLOCK_K],
+    cols: &[u32; BLOCK_K],
+    vals: &[f32; BLOCK_K],
+    b: &[f32],
+    ld: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime; row-length
+        // SAFETY: AVX2 support was just verified at runtime; column
         // contract forwarded from the caller.
-        unsafe { axpy_block_avx2::<LANES, GROUPS>(acc, coeffs, rows) };
+        unsafe { axpy_block_avx2::<LANES, GROUPS>(acc, cols, vals, b, ld) };
         return;
     }
-    // SAFETY: forwarded caller contract (row lengths).
-    unsafe { axpy_block::<LANES, GROUPS>(acc, coeffs, rows) }
+    // SAFETY: forwarded caller contract (column bounds).
+    unsafe { axpy_block::<LANES, GROUPS>(acc, cols, vals, b, ld) }
 }
 
 fn measure() -> Calibration {
@@ -226,32 +234,33 @@ fn measure() -> Calibration {
         std::hint::black_box(&acc);
     }));
 
-    // --- blocked accumulate: the gather engine's real shape -----------
-    // The wide engines never run k=1 axpy: they sweep a k-block of
-    // gathered rows through a resident register strip, so the strip
-    // width's real lever — amortizing per-k row/coefficient loads and
-    // loop overhead across more accumulators — only shows up here.
-    // 1 KiB acc + BLOCK_K x 1 KiB rows: ~9 KiB, L1-resident.
+    // --- streamed accumulate: the microkernel's real shape -------------
+    // The wide engines never run k=1 axpy: they stream a row's
+    // column-indexed `B` rows through a resident register strip, so the
+    // strip width's real lever — amortizing per-slot index/coefficient
+    // loads and loop overhead across more accumulators — only shows up
+    // here. 1 KiB acc + BLOCK_K x 1 KiB `B` rows touched: ~9 KiB,
+    // L1-resident.
     const BSTRIP: usize = 256;
+    const BROWS: usize = 16;
     const BSWEEPS: usize = 128;
     let mut bacc = vec![0.0f32; BSTRIP];
-    let bsrc: Vec<f32> = (0..BSTRIP * BLOCK_K)
-        .map(|i| (i % 11) as f32 * 0.5)
-        .collect();
-    let rows: [&[f32]; BLOCK_K] = std::array::from_fn(|i| &bsrc[i * BSTRIP..(i + 1) * BSTRIP]);
-    let coeffs: [f32; BLOCK_K] = std::array::from_fn(|i| 1.0 + i as f32 * 1e-3);
+    let bsrc: Vec<f32> = (0..BSTRIP * BROWS).map(|i| (i % 11) as f32 * 0.5).collect();
+    let cols: [u32; BLOCK_K] = std::array::from_fn(|i| (i * 7 % BROWS) as u32);
+    let vals: [f32; BLOCK_K] = std::array::from_fn(|i| 1.0 + i as f32 * 1e-3);
     let belems = (BSTRIP * BLOCK_K * BSWEEPS) as f64;
     let x4 = best_ns(5, || {
         for _ in 0..BSWEEPS {
-            // SAFETY: every row slice is exactly BSTRIP == bacc.len().
-            unsafe { axpy_block_dispatch::<4, 8>(&mut bacc, &coeffs, &rows) };
+            // SAFETY: every column is < BROWS, `bsrc` holds BROWS rows of
+            // BSTRIP == bacc.len() elements.
+            unsafe { axpy_block_dispatch::<4, 8>(&mut bacc, &cols, &vals, &bsrc, BSTRIP) };
         }
         std::hint::black_box(&bacc);
     }) / belems;
     let x8 = best_ns(5, || {
         for _ in 0..BSWEEPS {
-            // SAFETY: every row slice is exactly BSTRIP == bacc.len().
-            unsafe { axpy_block_dispatch::<8, 8>(&mut bacc, &coeffs, &rows) };
+            // SAFETY: as above.
+            unsafe { axpy_block_dispatch::<8, 8>(&mut bacc, &cols, &vals, &bsrc, BSTRIP) };
         }
         std::hint::black_box(&bacc);
     }) / belems;

@@ -8,7 +8,7 @@
 #   --bench   appends a seconds-scale benchmark smoke (bench_spmm,
 #             bench_serve, and bench_update, all --quick at reduced
 #             sizes) that fails on catastrophic engine or serving-cache
-#             regressions, on the SIMD gather engine dropping below its
+#             regressions, on the SIMD strip engine dropping below its
 #             1.2x geomean speedup floor over the one-lane scalar arm,
 #             and on incremental CELL maintenance failing to beat a
 #             full rebuild 3x at <= 1% churn;
