@@ -2,15 +2,16 @@
 //!
 //! The delta path's whole justification (DESIGN.md §15): when an edge
 //! batch touches few rows, re-bucketing only those rows
-//! ([`lf_cell::update_cell`]) must beat recomposing the CELL from
+//! ([`lf_cell::updated_cell`]) must beat recomposing the CELL from
 //! scratch ([`lf_cell::build_cell`]) — otherwise the engine's
 //! churn-threshold fallback would always pick the rebuild and plan
 //! migration would be dead weight. This bench measures, per churn level
 //! (touched-row fraction ∈ {0.1%, 1%, 10%}) on the reference
 //! `mixed_regions` matrix:
 //!
-//! * **incremental** — clone the cached CELL and `update_cell` it (the
-//!   exact work [`ServeEngine::apply_updates`] does per migrated plan);
+//! * **incremental** — build the cached CELL's successor with
+//!   `updated_cell` (the exact work [`ServeEngine::apply_updates`] does
+//!   per migrated plan);
 //! * **rebuild** — `build_cell` of the updated matrix from scratch;
 //! * the resulting speedup, plus an engine-level section timing a full
 //!   mutate-migrate-sweep cycle against a cold recompose-and-serve.
@@ -24,7 +25,7 @@
 //! [`ServeEngine::apply_updates`]: lf_serve::ServeEngine::apply_updates
 
 use lf_bench::{fmt, write_json, Table};
-use lf_cell::{build_cell, update_cell, CellConfig};
+use lf_cell::{build_cell, updated_cell, CellConfig};
 use lf_serve::{FixedCellPlanner, MatrixHandle, ServeConfig, ServeEngine};
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{CsrMatrix, DenseMatrix, EdgeUpdate, Pcg32};
@@ -148,10 +149,10 @@ fn main() {
         let new_csr = csr.apply_updates(&batch).expect("valid batch");
 
         // The incremental side is exactly what plan migration pays per
-        // cached plan: clone the CELL, re-bucket the touched rows.
+        // cached plan: the CELL's successor with the touched rows
+        // re-bucketed.
         let incremental_ms = time_ms(reps, || {
-            let mut c = cell.clone();
-            update_cell(&mut c, &new_csr, &touched).expect("pattern-preserving batch");
+            updated_cell(&cell, &new_csr, &touched).expect("pattern-preserving batch");
         });
         let rebuild_ms = time_ms(reps, || {
             build_cell(&new_csr, &config).expect("valid config");

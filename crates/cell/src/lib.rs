@@ -34,4 +34,4 @@ pub use build::{build_cell, build_cell_reference};
 pub use config::CellConfig;
 pub use matrix::{Bucket, CellMatrix, Partition};
 pub use span::{effective_partitions, partition_of_col, partition_spans, SpanMap};
-pub use update::update_cell;
+pub use update::{update_cell, updated_cell};

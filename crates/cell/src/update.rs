@@ -2,12 +2,21 @@
 //!
 //! The Adaptive Row-grouped CSR insight carried over to CELL: an edge
 //! update only perturbs the buckets holding the *touched rows* of the
-//! *touched partitions*. [`update_cell`] re-buckets exactly those rows
+//! *touched partitions*. Both entry points re-bucket exactly those rows
 //! against the post-update CSR — folding rows that crossed above a
 //! configured width cap, unfolding rows that dropped back under it, and
 //! migrating rows whose segment length crossed a power-of-two bucket
-//! boundary — while every other bucket's storage is left byte-for-byte
-//! alone. The result is **bitwise identical** to
+//! boundary:
+//!
+//! * [`updated_cell`] builds the successor of a shared CELL (a cached
+//!   plan's payload) and copies every byte once: untouched partitions
+//!   and buckets are cloned, and each affected bucket is assembled
+//!   straight from its predecessor — one bulk copy per run of kept
+//!   bucket rows, the touched rows' new fragments spliced in between;
+//! * [`update_cell`] does the same in place, leaving every unaffected
+//!   bucket's storage byte-for-byte alone.
+//!
+//! The result is **bitwise identical** to
 //! [`build_cell`](crate::build::build_cell) on the updated matrix
 //! (property-tested across the corpus), so a consumer can never tell
 //! whether a CELL was maintained or rebuilt.
@@ -42,6 +51,77 @@ pub fn update_cell<T: Scalar>(
     new_csr: &CsrMatrix<T>,
     touched: &[(usize, usize)],
 ) -> Result<()> {
+    let touched_rows = touched_rows_by_partition(cell, new_csr, touched)?;
+    let multi_partition = cell.partitions.len() > 1;
+    for (pi, rows) in touched_rows.iter().enumerate() {
+        if rows.is_empty() {
+            continue;
+        }
+        let part = &mut cell.partitions[pi];
+        let (spliced, fresh) = splice_partition(part, new_csr, rows, &cell.config, pi);
+        for (b, next) in part.buckets.iter_mut().zip(spliced) {
+            if let Some(next) = next {
+                *b = next;
+            }
+        }
+        finish_partition(&mut part.buckets, fresh, &cell.config, pi, multi_partition);
+    }
+    cell.nnz = new_csr.nnz();
+    Ok(())
+}
+
+/// The successor of `cell` after the edge updates at `touched`, built
+/// without modifying `cell`: the copy-once form of [`update_cell`] for a
+/// CELL that stays shared (a cached plan's payload). Same contract:
+/// the result equals `build_cell(new_csr, cell.config())` bitwise, and
+/// the same inputs are rejected.
+pub fn updated_cell<T: Scalar>(
+    cell: &CellMatrix<T>,
+    new_csr: &CsrMatrix<T>,
+    touched: &[(usize, usize)],
+) -> Result<CellMatrix<T>> {
+    let touched_rows = touched_rows_by_partition(cell, new_csr, touched)?;
+    let multi_partition = cell.partitions.len() > 1;
+    let partitions = cell
+        .partitions
+        .iter()
+        .zip(&touched_rows)
+        .enumerate()
+        .map(|(pi, (part, rows))| {
+            if rows.is_empty() {
+                return part.clone();
+            }
+            let (spliced, fresh) = splice_partition(part, new_csr, rows, &cell.config, pi);
+            let mut buckets: Vec<Bucket<T>> = part
+                .buckets
+                .iter()
+                .zip(spliced)
+                .map(|(b, next)| next.unwrap_or_else(|| b.clone()))
+                .collect();
+            finish_partition(&mut buckets, fresh, &cell.config, pi, multi_partition);
+            Partition {
+                col_range: part.col_range,
+                buckets,
+            }
+        })
+        .collect();
+    Ok(CellMatrix {
+        rows: cell.rows,
+        cols: cell.cols,
+        nnz: new_csr.nnz(),
+        partitions,
+        config: cell.config.clone(),
+    })
+}
+
+/// Check `new_csr` and `touched` against `cell`, and group the touched
+/// rows by the partition their column falls in (each list sorted and
+/// deduplicated).
+fn touched_rows_by_partition<T: Scalar>(
+    cell: &CellMatrix<T>,
+    new_csr: &CsrMatrix<T>,
+    touched: &[(usize, usize)],
+) -> Result<Vec<Vec<usize>>> {
     let (rows, cols) = cell.shape();
     if new_csr.shape() != (rows, cols) {
         return Err(SparseError::DimensionMismatch {
@@ -57,11 +137,8 @@ pub fn update_cell<T: Scalar>(
         )));
     }
     let map = SpanMap::new(cols, cell.config.num_partitions);
-    let p = map.num_partitions();
-    debug_assert_eq!(p, cell.partitions.len());
-
-    // Touched rows per partition, sorted and deduplicated.
-    let mut touched_rows: Vec<Vec<usize>> = vec![Vec::new(); p];
+    debug_assert_eq!(map.num_partitions(), cell.partitions.len());
+    let mut touched_rows: Vec<Vec<usize>> = vec![Vec::new(); map.num_partitions()];
     for &(r, c) in touched {
         if r >= rows || c >= cols {
             return Err(SparseError::IndexOutOfBounds {
@@ -75,37 +152,20 @@ pub fn update_cell<T: Scalar>(
         rows.sort_unstable();
         rows.dedup();
     }
-
-    let config = cell.config.clone();
-    let multi_partition = p > 1;
-    for (pi, rows) in touched_rows.iter().enumerate() {
-        if rows.is_empty() {
-            continue;
-        }
-        update_partition(
-            &mut cell.partitions[pi],
-            new_csr,
-            rows,
-            &config,
-            pi,
-            multi_partition,
-        );
-    }
-    cell.nnz = new_csr.nnz();
-    Ok(())
+    Ok(touched_rows)
 }
 
-/// Re-bucket `touched` rows of one partition and restore the builder's
-/// metadata invariants (ascending non-empty buckets, max-bucket flags,
-/// uniform block geometry).
-fn update_partition<T: Scalar>(
-    part: &mut Partition<T>,
+/// Re-bucket `touched` rows of one partition. Returns, per existing
+/// bucket, its spliced successor (`None` when the bucket neither held a
+/// touched row nor receives a fragment), plus fresh buckets for widths
+/// the partition did not have yet.
+fn splice_partition<T: Scalar>(
+    part: &Partition<T>,
     new_csr: &CsrMatrix<T>,
     touched: &[usize],
     config: &CellConfig,
     pi: usize,
-    multi_partition: bool,
-) {
+) -> (Vec<Option<Bucket<T>>>, Vec<Bucket<T>>) {
     let (col_lo, col_hi) = part.col_range;
     let cap = config.max_width_for(pi);
 
@@ -142,41 +202,42 @@ fn update_partition<T: Scalar>(
         }
     }
 
-    // Splice every affected bucket: drop the touched rows' old
-    // fragments, weave the incoming ones in at their row-sorted slots.
-    // Untouched buckets keep their storage untouched.
-    let mut buckets = std::mem::take(&mut part.buckets);
-    for b in &mut buckets {
-        let incoming = incoming.remove(&b.width).unwrap_or_default();
-        let holds_touched = {
-            let mut t = 0;
-            b.row_ind.iter().any(|&r| {
-                while t < touched.len() && touched[t] < r as usize {
-                    t += 1;
-                }
-                t < touched.len() && touched[t] == r as usize
-            })
-        };
-        if holds_touched || !incoming.is_empty() {
-            splice_bucket(b, new_csr, touched, &incoming);
-        }
-    }
+    let mut cuts = Vec::with_capacity(touched.len());
+    let spliced = part
+        .buckets
+        .iter()
+        .map(|b| {
+            let incoming = incoming.remove(&b.width).unwrap_or_default();
+            splice_bucket(b, new_csr, touched, &incoming, &mut cuts)
+        })
+        .collect();
+    let fresh = incoming
+        .into_iter()
+        .map(|(width, frags)| fresh_bucket(new_csr, width, &frags))
+        .collect();
+    (spliced, fresh)
+}
+
+/// Drop emptied buckets, slot `fresh` ones in at their widths, and
+/// re-derive the builder's partition-level metadata (ascending
+/// non-empty buckets, max-bucket flags, uniform block geometry).
+fn finish_partition<T: Scalar>(
+    buckets: &mut Vec<Bucket<T>>,
+    fresh: Vec<Bucket<T>>,
+    config: &CellConfig,
+    pi: usize,
+    multi_partition: bool,
+) {
     buckets.retain(|b| !b.row_ind.is_empty());
-    // Widths that had no bucket yet: materialize fresh ones and keep
-    // the ascending-width order.
-    for (width, frags) in incoming {
-        if frags.is_empty() {
-            continue;
-        }
-        let bucket = fresh_bucket(new_csr, width, &frags);
-        let at = buckets.partition_point(|b| b.width < width);
+    for bucket in fresh {
+        let at = buckets.partition_point(|b| b.width < bucket.width);
         buckets.insert(at, bucket);
     }
 
-    // Re-derive the builder's partition-level metadata. Folding only
-    // ever happens under a configured cap and always yields at least
-    // two fragments, so "any folded row" is exactly "the cap bucket
-    // stores some row more than once".
+    // Folding only ever happens under a configured cap and always
+    // yields at least two fragments, so "any folded row" is exactly
+    // "the cap bucket stores some row more than once".
+    let cap = config.max_width_for(pi);
     let max_width = buckets.last().map(|b| b.width).unwrap_or(0);
     let block_nnz = (max_width.max(1) * config.block_nnz_multiple).next_power_of_two();
     let any_folded = cap.is_some_and(|cap| {
@@ -185,7 +246,7 @@ fn update_partition<T: Scalar>(
             .find(|b| b.width == cap)
             .is_some_and(|b| b.row_ind.windows(2).any(|w| w[0] == w[1]))
     });
-    for b in &mut buckets {
+    for b in buckets.iter_mut() {
         let is_max = b.width == max_width;
         b.rows_per_block = if config.uniform_block_nnz {
             (block_nnz / b.width).max(1)
@@ -195,140 +256,110 @@ fn update_partition<T: Scalar>(
         b.needs_atomic = multi_partition || (is_max && any_folded);
         b.has_folded = is_max && any_folded;
     }
-    part.buckets = buckets;
 }
 
-/// Rebuild one bucket's grids in a single merge pass: old fragments of
-/// touched rows are dropped, `incoming` fragments (row-ascending) are
-/// inserted at their sorted positions, everything else is block-copied.
+/// The successor of bucket `old` in one pass: the touched rows' old
+/// fragments are dropped, `incoming` fragments (row-ascending, every row
+/// in `touched`) take their row-sorted slots, and each run of kept rows
+/// between them moves with one copy per array. `None` when nothing in
+/// the bucket changes. `cuts` is scratch space reused across buckets.
 fn splice_bucket<T: Scalar>(
-    b: &mut Bucket<T>,
+    old: &Bucket<T>,
     new_csr: &CsrMatrix<T>,
     touched: &[usize],
     incoming: &[Fragment],
-) {
-    let width = b.width;
-    let old_n = b.row_ind.len();
-    let kept = {
-        let mut t = 0;
-        b.row_ind
-            .iter()
-            .filter(|&&r| {
-                while t < touched.len() && touched[t] < r as usize {
-                    t += 1;
-                }
-                !(t < touched.len() && touched[t] == r as usize)
-            })
-            .count()
-    };
-    let new_n = kept + incoming.len();
-    let mut row_ind = Vec::with_capacity(new_n);
-    let mut col_ind: Vec<Index> = Vec::with_capacity(new_n * width);
-    let mut values: Vec<T> = Vec::with_capacity(new_n * width);
+    cuts: &mut Vec<(usize, usize)>,
+) -> Option<Bucket<T>> {
+    // Where each touched row's old fragments sit: `row_ind` is ascending,
+    // so every touched row owns one (possibly empty) index range.
+    let rows = &old.row_ind;
+    cuts.clear();
+    let mut dropped = 0;
+    let mut at = 0;
+    for &t in touched {
+        let lo = gallop(rows, at, |r| r < t);
+        let hi = gallop(rows, lo, |r| r == t);
+        cuts.push((lo, hi));
+        dropped += hi - lo;
+        at = hi;
+    }
+    if dropped == 0 && incoming.is_empty() {
+        return None;
+    }
 
-    let mut inc = incoming.iter().peekable();
-    let mut t = 0usize;
-    let mut i = 0usize;
-    while i < old_n {
-        let r = b.row_ind[i] as usize;
-        // Incoming rows strictly below the next kept/old row go first.
-        while let Some(&&(ir, s, e)) = inc.peek() {
-            if (ir as usize) < r {
-                push_fragment(
-                    &mut row_ind,
-                    &mut col_ind,
-                    &mut values,
-                    new_csr,
-                    width,
-                    ir,
-                    s,
-                    e,
-                );
-                inc.next();
-            } else {
-                break;
-            }
+    let width = old.width;
+    let new_n = rows.len() - dropped + incoming.len();
+    let mut next = Bucket {
+        row_ind: Vec::with_capacity(new_n),
+        col_ind: Vec::with_capacity(new_n * width),
+        values: Vec::with_capacity(new_n * width),
+        ..*old
+    };
+    let mut incoming = incoming.iter().peekable();
+    let mut kept = 0; // first row of the pending kept run
+    for (&t, &(lo, hi)) in touched.iter().zip(cuts.iter()) {
+        copy_rows(&mut next, old, kept..lo);
+        while let Some(&frag) = incoming.next_if(|&&(r, _, _)| r as usize == t) {
+            push_fragment(&mut next, new_csr, frag);
         }
-        while t < touched.len() && touched[t] < r {
-            t += 1;
-        }
-        if t < touched.len() && touched[t] == r {
-            // A touched row's old fragments are dropped (its new
-            // fragments, if any land in this bucket, arrive via
-            // `incoming`).
-            i += 1;
-            continue;
-        }
-        row_ind.push(b.row_ind[i]);
-        col_ind.extend_from_slice(&b.col_ind[i * width..(i + 1) * width]);
-        values.extend_from_slice(&b.values[i * width..(i + 1) * width]);
-        i += 1;
+        kept = hi;
     }
-    for &(ir, s, e) in inc {
-        push_fragment(
-            &mut row_ind,
-            &mut col_ind,
-            &mut values,
-            new_csr,
-            width,
-            ir,
-            s,
-            e,
-        );
+    copy_rows(&mut next, old, kept..rows.len());
+    debug_assert!(incoming.next().is_none(), "fragment of an untouched row");
+    Some(next)
+}
+
+/// `from` plus the length of the prefix of `rows[from..]` satisfying
+/// `pred` (which must hold on a prefix only). Gallops, so a cut `gap`
+/// rows past `from` costs O(log gap) probes rather than O(gap).
+fn gallop(rows: &[Index], from: usize, pred: impl Fn(usize) -> bool) -> usize {
+    let mut lo = from;
+    let mut step = 1;
+    while lo + step <= rows.len() && pred(rows[lo + step - 1] as usize) {
+        lo += step;
+        step *= 2;
     }
-    b.row_ind = row_ind;
-    b.col_ind = col_ind;
-    b.values = values;
+    let hi = (lo + step).min(rows.len());
+    lo + rows[lo..hi].partition_point(|&r| pred(r as usize))
+}
+
+/// Append bucket rows `range` of `old` to `next`, one copy per array.
+fn copy_rows<T: Scalar>(next: &mut Bucket<T>, old: &Bucket<T>, range: std::ops::Range<usize>) {
+    let w = old.width;
+    next.row_ind.extend_from_slice(&old.row_ind[range.clone()]);
+    next.col_ind
+        .extend_from_slice(&old.col_ind[range.start * w..range.end * w]);
+    next.values
+        .extend_from_slice(&old.values[range.start * w..range.end * w]);
 }
 
 /// Materialize one fragment into a bucket row: payload then padding,
 /// exactly like the builder's bucket fill.
-#[allow(clippy::too_many_arguments)]
-fn push_fragment<T: Scalar>(
-    row_ind: &mut Vec<Index>,
-    col_ind: &mut Vec<Index>,
-    values: &mut Vec<T>,
-    new_csr: &CsrMatrix<T>,
-    width: usize,
-    row: Index,
-    s: usize,
-    e: usize,
-) {
-    row_ind.push(row);
-    col_ind.extend_from_slice(&new_csr.col_ind()[s..e]);
-    values.extend_from_slice(&new_csr.values()[s..e]);
-    let pad = width - (e - s);
-    col_ind.extend(std::iter::repeat_n(ELL_PAD, pad));
-    values.extend(std::iter::repeat_n(T::ZERO, pad));
+fn push_fragment<T: Scalar>(b: &mut Bucket<T>, new_csr: &CsrMatrix<T>, (row, s, e): Fragment) {
+    b.row_ind.push(row);
+    b.col_ind.extend_from_slice(&new_csr.col_ind()[s..e]);
+    b.values.extend_from_slice(&new_csr.values()[s..e]);
+    let pad = b.width - (e - s);
+    b.col_ind.extend(std::iter::repeat_n(ELL_PAD, pad));
+    b.values.extend(std::iter::repeat_n(T::ZERO, pad));
 }
 
 /// A brand-new bucket for a width the partition did not have yet. Flags
-/// and block geometry are filled by the caller's metadata pass.
+/// and block geometry are filled by [`finish_partition`].
 fn fresh_bucket<T: Scalar>(new_csr: &CsrMatrix<T>, width: usize, frags: &[Fragment]) -> Bucket<T> {
-    let mut row_ind = Vec::with_capacity(frags.len());
-    let mut col_ind = Vec::with_capacity(frags.len() * width);
-    let mut values = Vec::with_capacity(frags.len() * width);
-    for &(r, s, e) in frags {
-        push_fragment(
-            &mut row_ind,
-            &mut col_ind,
-            &mut values,
-            new_csr,
-            width,
-            r,
-            s,
-            e,
-        );
-    }
-    Bucket {
+    let mut b = Bucket {
         width,
-        row_ind,
-        col_ind,
-        values,
+        row_ind: Vec::with_capacity(frags.len()),
+        col_ind: Vec::with_capacity(frags.len() * width),
+        values: Vec::with_capacity(frags.len() * width),
         rows_per_block: 1,
         needs_atomic: false,
         has_folded: false,
+    };
+    for &frag in frags {
+        push_fragment(&mut b, new_csr, frag);
     }
+    b
 }
 
 #[cfg(test)]
@@ -482,6 +513,21 @@ mod tests {
             "{err}"
         );
         assert_eq!(cell, before);
+    }
+
+    #[test]
+    fn copy_once_rejects_what_in_place_rejects() {
+        let csr = skewed();
+        let cell = build_cell(&csr, &CellConfig::with_partitions(2)).unwrap();
+        let err = updated_cell(&cell, &csr, &[(99, 0)]).unwrap_err();
+        assert!(matches!(err, SparseError::IndexOutOfBounds { .. }), "{err}");
+        let err = updated_cell(&cell, &CsrMatrix::<f64>::empty(3, 3), &[(0, 0)]).unwrap_err();
+        assert!(
+            matches!(err, SparseError::DimensionMismatch { .. }),
+            "{err}"
+        );
+        // No touched coordinates: the successor is the source.
+        assert_eq!(updated_cell(&cell, &csr, &[]).unwrap(), cell);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! deletes pull them under, rows migrating between power-of-two
 //! buckets, and rows deleted down to empty (all fragments dropped).
 
-use lf_cell::{build_cell, update_cell, CellConfig};
+use lf_cell::{build_cell, update_cell, updated_cell, CellConfig};
 use lf_sparse::gen::PatternFamily;
 use lf_sparse::update::EdgeUpdate;
 use lf_sparse::{CsrMatrix, Index, Pcg32};
@@ -113,6 +113,47 @@ fn incremental_matches_rebuild_across_corpus() {
                         caps,
                         step
                     );
+                    csr = new_csr;
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn copy_once_successor_matches_rebuild_and_leaves_the_source_alone() {
+    // The same sweep through `updated_cell`, the form plan migration
+    // uses: each successor equals the rebuild and the in-place update,
+    // and the CELL it was built from is unchanged.
+    let mut seed = 0x22FE_u64;
+    for family in PatternFamily::ALL {
+        for partitions in [1usize, 2, 5] {
+            for caps in [None, Some(vec![4usize]), Some(vec![32usize])] {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+                let mut rng = Pcg32::seed_from_u64(seed);
+                let coo = family.generate::<f64>(257, 193, 4000, &mut rng);
+                let mut csr = CsrMatrix::from_coo(&coo);
+                let cfg = CellConfig {
+                    num_partitions: partitions,
+                    max_widths: caps.clone(),
+                    ..CellConfig::default()
+                };
+                let mut cell = build_cell(&csr, &cfg).unwrap();
+                for step in 0..4 {
+                    let updates = batch(&csr, step, &mut rng);
+                    let new_csr = csr.apply_updates(&updates).unwrap();
+                    let touched: Vec<(usize, usize)> =
+                        updates.iter().map(EdgeUpdate::coord).collect();
+                    let before = cell.clone();
+                    let next = updated_cell(&cell, &new_csr, &touched).unwrap();
+                    let what = format!(
+                        "family {} partitions {partitions} caps {caps:?} step {step}",
+                        family.name()
+                    );
+                    assert_eq!(cell, before, "{what}: source CELL modified");
+                    assert_eq!(next, build_cell(&new_csr, &cfg).unwrap(), "{what}");
+                    update_cell(&mut cell, &new_csr, &touched).unwrap();
+                    assert_eq!(cell, next, "{what}: in-place and copy-once disagree");
                     csr = new_csr;
                 }
             }

@@ -3,7 +3,9 @@
 //!
 //! The serving stack's deadlock-freedom argument (PR 5/6) is a total
 //! order: `BatchBoard.open` → `BatchGroup.state` → `JoinSlot.state`,
-//! with the matrix-handle `RwLock`, the `PlanCache` shards (`cache.rs`),
+//! then the matrix handle's update mutex (held across a delta batch's
+//! build, ordered before the handle's own lock), with the matrix-handle
+//! `RwLock`, the `PlanCache` shards (`cache.rs`),
 //! the demotion queue, the plan store, and the planner's breaker map as
 //! *leaf* locks (nothing may be acquired while holding one), the
 //! demotion writer's batch lock ordered before the queue and the store,
@@ -60,6 +62,11 @@ const GROUP: LockClass = LockClass {
 const SLOT: LockClass = LockClass {
     name: "JoinSlot.state",
     level: 30,
+    leaf: false,
+};
+const HANDLE_UPDATER: LockClass = LockClass {
+    name: "MatrixHandle.updater",
+    level: 33,
     leaf: false,
 };
 const HANDLE: LockClass = LockClass {
@@ -189,6 +196,7 @@ fn classify(path: &str, impl_ty: Option<&str>, recv: &str) -> Option<LockClass> 
         "shard()" if path.starts_with("crates/serve/") => Some(SHARD),
         "open" if path.starts_with("crates/serve/") => Some(BOARD),
         "shared" if path.starts_with("crates/serve/") => Some(HANDLE),
+        "updater" if path.starts_with("crates/serve/") => Some(HANDLE_UPDATER),
         // `Disk::writing`, held for a whole demotion batch, and
         // `Disk::pending`, the write-behind queue (cache.rs).
         "writing" if path.starts_with("crates/serve/") => Some(DEMOTE_WRITER),
@@ -236,8 +244,9 @@ impl Rule for LockOrder {
     }
     fn describe(&self) -> &'static str {
         "mutex acquisitions follow the declared BatchBoard→BatchGroup→JoinSlot hierarchy; \
-         handle/shards/demotion queue/store/breaker are leaves; the demotion writer lock \
-         precedes the queue and the store; nothing serving-side nests over pool mutexes"
+         the handle's update mutex precedes the handle lock; handle/shards/demotion \
+         queue/store/breaker are leaves; the demotion writer lock precedes the queue and \
+         the store; nothing serving-side nests over pool mutexes"
     }
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         let fns = collect_fns(ws);

@@ -133,6 +133,31 @@ fn handle_rwlock_is_a_leaf() {
 }
 
 #[test]
+fn handle_update_mutex_precedes_the_handle_lock() {
+    let text = include_str!("lint_fixtures/handle_updater.rs");
+    let report = lint_one("crates/serve/src/handle.rs", text, true);
+    // Taking the update mutex under the handle's write guard inverts the
+    // declared order (and nests under a leaf)…
+    assert_fires(
+        &report,
+        "lock-order",
+        "crates/serve/src/handle.rs",
+        line_of(text, "let _late = self.updater.lock();"),
+    );
+    // …while update mutex, then handle lock, is the declared order.
+    assert_eq!(
+        report
+            .findings
+            .iter()
+            .filter(|f| f.rule == "lock-order")
+            .count(),
+        1,
+        "unexpected lock-order findings: {:?}",
+        report.findings
+    );
+}
+
+#[test]
 fn unshielded_unwrap_in_request_path_fires() {
     let text = include_str!("lint_fixtures/panic_path.rs");
     let report = lint_one("crates/serve/src/engine.rs", text, true);

@@ -239,9 +239,9 @@ impl<T: AtomicScalar> PreparedPlan<T> {
     }
 
     /// The materialized CELL operand, when the plan composes CELL.
-    /// Read-only: the serving layer's delta path clones it to migrate a
-    /// cached plan incrementally (`lf_cell::update_cell`) instead of
-    /// recomposing from scratch.
+    /// Read-only: the serving layer's delta path builds its incrementally
+    /// re-bucketed successor (`lf_cell::updated_cell`) to migrate a
+    /// cached plan instead of recomposing from scratch.
     pub fn cell(&self) -> Option<&CellMatrix<T>> {
         match &self.kernel {
             PreparedKernel::Cell { kernel, .. } => Some(kernel.cell()),

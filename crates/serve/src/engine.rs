@@ -280,10 +280,10 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
     ///    the cache key;
     /// 2. unless churn crossed [`lf_cost::churn_threshold`], cached CELL
     ///    plans for the retired fingerprint are **migrated**: their CELL
-    ///    payload is incrementally re-bucketed
-    ///    ([`lf_cell::update_cell`] — bitwise-identical to a rebuild)
-    ///    and re-admitted under the new key, so the next serve hits
-    ///    instead of recomposing;
+    ///    payload is incrementally re-bucketed into a successor
+    ///    ([`lf_cell::updated_cell`] — bitwise-identical to a rebuild,
+    ///    each byte copied once) and re-admitted under the new key, so
+    ///    the next serve hits instead of recomposing;
     /// 3. stale plans are retired RAM-first, then disk
     ///    ([`Self::sweep_stale`]) — counted in
     ///    [`ServeStats::stale_evicted`].
@@ -329,8 +329,7 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
                 continue;
             };
             let rebucketed = catch_unwind(AssertUnwindSafe(|| {
-                let mut cell = cell.clone();
-                lf_cell::update_cell(&mut cell, &delta.csr, &delta.touched).map(|()| cell)
+                lf_cell::updated_cell(cell, &delta.csr, &delta.touched)
             }));
             let Ok(Ok(cell)) = rebucketed else { continue };
             let plan = PreparedPlan::from_cell(config.clone(), cell, slot.plan.profile)

@@ -8,6 +8,12 @@
 //! * a 64-bit hash of the column-index array (column structure);
 //! * a 64-bit hash of the value bits.
 //!
+//! Each array hash runs [`LANES`] independent xor-multiply chains over
+//! 64-bit words (4-byte items packed two to a word), word `i` feeding
+//! lane `i % LANES`, so consecutive multiplies do not wait on each
+//! other; the lanes and the array length are folded together at the
+//! end.
+//!
 //! The value hash matters because a cached plan carries the matrix's
 //! *values* inside its CELL buckets (or CSR clone): two matrices with
 //! identical structure but different values must never share a plan, or
@@ -32,8 +38,7 @@ impl WordHasher {
     #[inline]
     fn write(&mut self, word: u64) {
         // FNV-1a one byte at a time is slow; word-at-a-time with the same
-        // xor/multiply structure keeps the distribution and runs at
-        // memory speed.
+        // xor/multiply structure keeps the distribution.
         self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);
     }
 
@@ -44,6 +49,60 @@ impl WordHasher {
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
     }
+}
+
+/// Independent hash chains per array. A single FNV chain is bound by
+/// multiply latency (each word waits on the previous product); eight
+/// chains keep the multiplier busy every cycle.
+const LANES: usize = 8;
+
+/// Hash an array of 4- or 8-byte items: 4-byte items (column indices,
+/// `f32` value bits) are packed two to a 64-bit word, halving the
+/// multiplies. `word` must be injective and, for 4-byte items, fit in
+/// 32 bits.
+#[inline]
+fn hash_array<W: Copy>(items: &[W], word: impl Fn(W) -> u64) -> u64 {
+    if std::mem::size_of::<W>() == 4 {
+        hash_words::<W, 2>(items, word)
+    } else {
+        hash_words::<W, 1>(items, word)
+    }
+}
+
+/// Hash `items`, `K` to a 64-bit word, in [`LANES`] interleaved FNV-1a
+/// chains (word `i` feeds lane `i % LANES`), each seeded differently,
+/// then fold the lanes and the item count through one more chain and
+/// the splitmix64 finisher.
+///
+/// Every step is a bijection of the lane state for a fixed input word,
+/// packing is injective, and the fold is a bijection of each lane for
+/// fixed others, so changing any single item always changes the hash;
+/// the count separates inputs that differ only by trailing zeros.
+#[inline]
+fn hash_words<W: Copy, const K: usize>(items: &[W], word: impl Fn(W) -> u64) -> u64 {
+    let pack = |group: &[W]| {
+        group
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (j, &w)| acc | word(w) << (j * 64 / K))
+    };
+    let mut lanes: [u64; LANES] =
+        std::array::from_fn(|i| FNV_OFFSET ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    let mut chunks = items.chunks_exact(LANES * K);
+    for chunk in &mut chunks {
+        for (lane, group) in lanes.iter_mut().zip(chunk.chunks_exact(K)) {
+            *lane = (*lane ^ pack(group)).wrapping_mul(FNV_PRIME);
+        }
+    }
+    for (lane, group) in lanes.iter_mut().zip(chunks.remainder().chunks(K)) {
+        *lane = (*lane ^ pack(group)).wrapping_mul(FNV_PRIME);
+    }
+    let mut h = WordHasher::new();
+    for lane in lanes {
+        h.write(lane);
+    }
+    h.write(items.len() as u64);
+    h.finish()
 }
 
 /// Identity of a sparse matrix for plan caching.
@@ -75,25 +134,13 @@ impl Fingerprint {
     /// Fingerprint a CSR matrix (one pass over `row_ptr`, `col_ind`,
     /// `values`; no allocation).
     pub fn of_csr<T: Scalar>(csr: &CsrMatrix<T>) -> Self {
-        let mut rh = WordHasher::new();
-        for &p in csr.row_ptr() {
-            rh.write(p as u64);
-        }
-        let mut ch = WordHasher::new();
-        for &c in csr.col_ind() {
-            ch.write(c as u64);
-        }
-        let mut vh = WordHasher::new();
-        for &v in csr.values() {
-            vh.write(v.to_f64().to_bits());
-        }
         Fingerprint {
             rows: csr.rows(),
             cols: csr.cols(),
             nnz: csr.nnz(),
-            row_structure: rh.finish(),
-            col_structure: ch.finish(),
-            values: vh.finish(),
+            row_structure: hash_array(csr.row_ptr(), |p| p as u64),
+            col_structure: hash_array(csr.col_ind(), u64::from),
+            values: hash_array(csr.values(), T::bits),
             epoch: 0,
         }
     }
@@ -198,6 +245,80 @@ mod tests {
             "stale-epoch records must land under distinct digests"
         );
         assert_eq!(bumped.with_epoch(0), base);
+    }
+
+    /// Array lengths under test: two full rounds of the lanes at two
+    /// items per word, plus one, so every tail length is covered.
+    const MAX_LEN: usize = 2 * LANES * 2 + 1;
+
+    /// Distinct, non-zero words for an array of length `len`, small
+    /// enough that every conversion below is exact.
+    fn words(len: usize) -> Vec<u64> {
+        (0..len as u64).map(|i| i * 977 + 3).collect()
+    }
+
+    /// The hash of `words` under each array's own word conversion: row
+    /// pointers (`usize`), column indices (`u32`), values (`f32` bits).
+    fn array_hashes(words: &[u64]) -> [u64; 3] {
+        let ptrs: Vec<usize> = words.iter().map(|&w| w as usize).collect();
+        let cols: Vec<lf_sparse::Index> = words.iter().map(|&w| w as lf_sparse::Index).collect();
+        let vals: Vec<f32> = words.iter().map(|&w| w as f32).collect();
+        [
+            hash_array(&ptrs, |p| p as u64),
+            hash_array(&cols, u64::from),
+            hash_array(&vals, f32::bits),
+        ]
+    }
+
+    #[test]
+    fn any_single_element_change_moves_the_array_hash() {
+        for len in 0..=MAX_LEN {
+            let base = words(len);
+            let want = array_hashes(&base);
+            for i in 0..len {
+                for new in [0, 1, base[i] + 1, 1 << 20] {
+                    if new == base[i] {
+                        continue;
+                    }
+                    let mut changed = base.clone();
+                    changed[i] = new;
+                    let got = array_hashes(&changed);
+                    for a in 0..3 {
+                        assert_ne!(got[a], want[a], "array {a}, len {len}, slot {i} -> {new}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swapping_adjacent_elements_moves_the_array_hash() {
+        for len in 2..=MAX_LEN {
+            let base = words(len);
+            let want = array_hashes(&base);
+            for i in 0..len - 1 {
+                let mut swapped = base.clone();
+                swapped.swap(i, i + 1);
+                let got = array_hashes(&swapped);
+                for a in 0..3 {
+                    assert_ne!(got[a], want[a], "array {a}, len {len}, swap {i}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn trailing_zeros_are_not_absorbed() {
+        for len in 0..=MAX_LEN {
+            let mut seen = std::collections::HashSet::new();
+            for zeros in 0..=MAX_LEN {
+                let mut padded = words(len);
+                padded.resize(len + zeros, 0);
+                for (a, h) in array_hashes(&padded).into_iter().enumerate() {
+                    assert!(seen.insert((a, h)), "array {a}, len {len} + {zeros} zeros");
+                }
+            }
+        }
     }
 
     #[test]

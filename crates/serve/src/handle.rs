@@ -6,7 +6,7 @@ use crate::fingerprint::Fingerprint;
 use lf_cost::TileFeatures;
 use lf_sparse::{CsrMatrix, EdgeUpdate, Scalar};
 use liteform_core::{LfError, LfResult};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The mutable registration behind a [`MatrixHandle`]: the current
 /// payload, its epoch-stamped fingerprint, and the fingerprints of
@@ -40,12 +40,17 @@ struct HandleState<T> {
 #[derive(Debug)]
 pub struct MatrixHandle<T> {
     shared: Arc<RwLock<HandleState<T>>>,
+    /// Serializes [`MatrixHandle::apply_updates`] across clones, so each
+    /// batch builds from the generation it commits over while `shared`
+    /// is write-locked only for the swap.
+    updater: Arc<Mutex<()>>,
 }
 
 impl<T> Clone for MatrixHandle<T> {
     fn clone(&self) -> Self {
         MatrixHandle {
             shared: Arc::clone(&self.shared),
+            updater: Arc::clone(&self.updater),
         }
     }
 }
@@ -86,6 +91,7 @@ impl<T: Scalar> MatrixHandle<T> {
                 fingerprint,
                 retired: Vec::new(),
             })),
+            updater: Arc::new(Mutex::new(())),
         })
     }
 
@@ -139,11 +145,15 @@ impl<T: Scalar> MatrixHandle<T> {
     /// validated against the current matrix first (typed
     /// [`SparseError`]s: out-of-range coordinates, duplicate targets,
     /// insert-present / delete-absent conflicts, non-finite values), a
-    /// new payload is built, and only then — under the handle's write
-    /// lock — the payload, fingerprint, and epoch swap in together. A
-    /// rejected batch leaves the handle bitwise untouched; a reader
-    /// never observes a half-applied generation because the previous
-    /// payload is an immutable `Arc` snapshot until the commit point.
+    /// new payload is built and fingerprinted beside the old one, and
+    /// only then — under the handle's write lock, held for nothing but
+    /// the swap — the payload, fingerprint, and epoch swap in together.
+    /// Concurrent updaters queue on a per-handle update mutex, so each
+    /// builds from the generation it replaces; serves keep reading the
+    /// old generation meanwhile. A rejected batch leaves the handle
+    /// bitwise untouched; a reader never observes a half-applied
+    /// generation because the previous payload is an immutable `Arc`
+    /// snapshot until the commit point.
     ///
     /// The returned [`AppliedDelta`] carries what cache maintenance
     /// needs (retired fingerprint, touched coordinates, the
@@ -156,9 +166,11 @@ impl<T: Scalar> MatrixHandle<T> {
     /// [`ServeEngine`]: crate::ServeEngine
     /// [`ServeEngine::apply_updates`]: crate::ServeEngine::apply_updates
     pub fn apply_updates(&self, updates: &[EdgeUpdate<T>]) -> LfResult<AppliedDelta<T>> {
-        let mut st = self.write();
-        let new_csr = st
-            .csr
+        let _updating = self.updater.lock().unwrap_or_else(PoisonError::into_inner);
+        // Only updaters replace the payload, and they are serialized, so
+        // this snapshot stays current until the swap below.
+        let (old_fingerprint, old_csr) = self.current();
+        let new_csr = old_csr
             .apply_updates(updates)
             .map_err(LfError::InvalidInput)?;
         #[cfg(feature = "chaos")]
@@ -181,12 +193,14 @@ impl<T: Scalar> MatrixHandle<T> {
         let touched_rows = rows.len();
         let features = TileFeatures::new(new_csr.rows(), new_csr.nnz(), std::mem::size_of::<T>());
         let rebuild = lf_cost::should_rebuild(features, touched_rows);
-        let old_fingerprint = st.fingerprint;
         let fingerprint = Fingerprint::of_csr(&new_csr).with_epoch(old_fingerprint.epoch + 1);
         let csr = Arc::new(new_csr);
-        st.csr = Arc::clone(&csr);
-        st.fingerprint = fingerprint;
-        st.retired.push(old_fingerprint);
+        {
+            let mut st = self.write();
+            st.csr = Arc::clone(&csr);
+            st.fingerprint = fingerprint;
+            st.retired.push(old_fingerprint);
+        }
         Ok(AppliedDelta {
             old_fingerprint,
             fingerprint,

@@ -74,8 +74,11 @@ const MANIFEST_MAGIC: [u8; 4] = *b"LFPM";
 /// to codec v2 for the same reason). v1 records predate epoch
 /// versioning, so they cannot prove which mutation generation they
 /// describe — they are refused at open (header sweep) and on read, and
-/// deleted rather than migrated.
-const STORE_VERSION: u16 = 2;
+/// deleted rather than migrated. v3 redefines the fingerprint's three
+/// array hashes (independent lanes folded with the length), so a v2
+/// key names no matrix the engine can look up any more; v2 records are
+/// refused and deleted the same way.
+const STORE_VERSION: u16 = 3;
 /// The manifest's file name inside the store directory.
 const MANIFEST_NAME: &str = "manifest.lfm";
 /// Rejection label for records from a retired mutation epoch; the

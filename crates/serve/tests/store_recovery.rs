@@ -325,6 +325,53 @@ fn corrupted_records_are_rejected_counted_and_recomposed_never_served() {
 }
 
 #[test]
+fn records_from_an_older_store_version_are_refused_and_deleted() {
+    let _g = locked();
+    let dir = scratch("old-version");
+    let mut rng = Pcg32::seed_from_u64(0x0D3E);
+    let b = DenseMatrix::random(128, 8, &mut rng);
+    let a = matrix(31);
+    {
+        let writer = engine(store_config(&dir));
+        writer.serve(&a, &b).unwrap();
+        assert_eq!(writer.snapshot().unwrap(), 1);
+    }
+    let record = fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|x| x == "lfp"))
+        .expect("snapshot wrote a record");
+    // Rewrite the version field (after the 4-byte magic) to 2 and
+    // re-seal the trailing CRC, so the version is the record's only
+    // defect: a v2 record keyed under the previous fingerprint hash.
+    let mut bytes = fs::read(&record).unwrap();
+    assert_eq!(&bytes[..4], b"LFPR");
+    assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 3);
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let body = bytes.len() - 4;
+    let crc = liteform_core::codec::crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    fs::write(&record, &bytes).unwrap();
+
+    let reader = engine(store_config(&dir));
+    let s = reader.stats();
+    assert_eq!(s.warm_loaded, 0, "a v2 record must not warm: {s:?}");
+    assert!(!record.exists(), "the refused record is deleted");
+    let out = reader.serve(&a, &b).unwrap();
+    assert!(!out.hit, "nothing may be served from the v2 record");
+    let s = reader.stats();
+    assert_eq!(s.disk_hits, 0, "{s:?}");
+    let bits = |m: &DenseMatrix<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&out.result),
+        bits(&a.spmm_reference(&b).unwrap()),
+        "the recomposed plan serves the reference bits"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn stale_fingerprint_records_are_rejected_at_the_store() {
     let _g = locked();
     let dir = scratch("stale-fp");

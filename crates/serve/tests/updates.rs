@@ -15,13 +15,14 @@
 //! plan is process-global, so every test here serializes on one gate.
 
 use lf_serve::{
-    FixedCellPlanner, MatrixHandle, Placement, PlanStore, Planner, ServeConfig, ServeEngine,
-    StoreConfig,
+    Fingerprint, FixedCellPlanner, MatrixHandle, Placement, PlanStore, Planner, ServeConfig,
+    ServeEngine, StoreConfig,
 };
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{CsrMatrix, DenseMatrix, EdgeUpdate, Pcg32};
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Barrier, Mutex};
 
 /// Serializes every test in this binary: the chaos plan (and nothing
 /// else) is process-global.
@@ -216,6 +217,92 @@ fn rejected_update_batch_leaves_handle_and_cache_untouched() {
     let s = e.stats();
     assert_eq!(s.stale_evicted, 0, "{s:?}");
     assert_ledger_exact(&e);
+}
+
+#[test]
+fn concurrent_updaters_serialize_while_readers_see_consistent_generations() {
+    let _g = locked();
+    let base = matrix(0x701);
+    let h = MatrixHandle::new(base.clone()).unwrap();
+    // Thread `side` edits only rows congruent to `side` mod 2, so the two
+    // updaters' batches commute; batch `i` rewrites every entry of one
+    // such row to a value naming the batch.
+    let batches = |side: usize| -> Vec<Vec<EdgeUpdate<f64>>> {
+        (0..100)
+            .map(|i| {
+                let row = (2 * i + side) % base.rows();
+                base.row_cols(row)
+                    .iter()
+                    .map(|&c| EdgeUpdate::SetValue {
+                        row,
+                        col: c as usize,
+                        value: (1000 * side + i + 1) as f64,
+                    })
+                    .collect()
+            })
+            .collect()
+    };
+    let sides = [batches(0), batches(1)];
+    let done = AtomicBool::new(false);
+    let start = Barrier::new(3);
+    let snapshots = std::thread::scope(|s| {
+        let writers: Vec<_> = sides
+            .iter()
+            .map(|side| {
+                let (h, start) = (h.clone(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for batch in side {
+                        h.apply_updates(batch).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let reader = s.spawn(|| {
+            start.wait();
+            let mut seen = 0usize;
+            loop {
+                let finished = done.load(Ordering::Relaxed);
+                let (fp, csr) = h.current();
+                assert_eq!(
+                    Fingerprint::of_csr(&csr).with_epoch(fp.epoch),
+                    fp,
+                    "snapshot at epoch {} pairs a payload with another key",
+                    fp.epoch
+                );
+                seen += 1;
+                if finished {
+                    return seen;
+                }
+            }
+        });
+        // Stop the reader before surfacing a writer's panic, so a failed
+        // writer fails the test instead of hanging it.
+        let written: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+        done.store(true, Ordering::Relaxed);
+        let seen = reader.join().unwrap();
+        for w in written {
+            w.unwrap();
+        }
+        seen
+    });
+    assert!(snapshots > 0);
+    assert_eq!(h.epoch(), 200, "every batch commits exactly once");
+    let mut want = base;
+    for batch in sides.iter().flatten() {
+        want = want.apply_updates(batch).unwrap();
+    }
+    let got = h.csr();
+    assert_eq!(got.row_ptr(), want.row_ptr());
+    assert_eq!(got.col_ind(), want.col_ind());
+    let bits = |m: &CsrMatrix<f64>| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&got),
+        bits(&want),
+        "final payload is both batch sets applied"
+    );
+    assert_eq!(h.fingerprint(), Fingerprint::of_csr(&want).with_epoch(200));
+    assert_eq!(h.retired().len(), 200, "every retired generation is listed");
 }
 
 #[test]

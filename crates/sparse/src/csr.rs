@@ -27,9 +27,27 @@ pub struct CsrMatrix<T> {
 /// strictly increasing column indices per row. This is the single
 /// validator behind [`CsrMatrix::from_raw`] and [`CsrMatrix::validate`],
 /// so a payload accepted by one is accepted by the other.
+///
+/// A valid payload is accepted by [`structure_holds`], a few whole-array
+/// folds; only a payload that fails them pays the per-row walk, which
+/// finds and reports the first defect.
 fn validate_parts<T>(
     rows: usize,
     cols: usize,
+    row_ptr: &[usize],
+    col_ind: &[Index],
+    values: &[T],
+) -> Result<()> {
+    validate_lengths(rows, row_ptr, col_ind, values)?;
+    if structure_holds(cols, row_ptr, col_ind) {
+        return Ok(());
+    }
+    validate_rows(rows, cols, row_ptr, col_ind)
+}
+
+/// The O(1) framing checks: array lengths and the `row_ptr` end points.
+fn validate_lengths<T>(
+    rows: usize,
     row_ptr: &[usize],
     col_ind: &[Index],
     values: &[T],
@@ -58,6 +76,59 @@ fn validate_parts<T>(
             col_ind.len()
         )));
     }
+    Ok(())
+}
+
+/// Whole-array form of the per-row invariants, for arrays whose lengths
+/// and end points [`validate_lengths`] accepted: `row_ptr` is monotone
+/// (so, ending at nnz, in bounds), every non-ascending neighbour pair in
+/// `col_ind` straddles the start of a non-empty row (so columns strictly
+/// increase within each row), and the largest column is below `cols`.
+/// Equivalent to [`validate_rows`] returning `Ok`.
+///
+/// `col_ind` is read once, in cache-sized chunks: each chunk's
+/// neighbour count and maximum are branch-free folds, and the row starts
+/// falling inside the chunk are checked while it is still in cache.
+fn structure_holds(cols: usize, row_ptr: &[usize], col_ind: &[Index]) -> bool {
+    const CHUNK: usize = 4096;
+    let decreasing = row_ptr
+        .iter()
+        .zip(&row_ptr[1..])
+        .map(|(a, b)| usize::from(a > b))
+        .sum::<usize>();
+    if decreasing != 0 {
+        return false;
+    }
+    let Some(&last) = col_ind.last() else {
+        return true;
+    };
+    let (mut non_ascending, mut at_row_starts, mut max_col) = (0usize, 0usize, last);
+    let mut row = 0; // next row whose start is still to be checked
+    let mut lo = 0;
+    while lo + 1 < col_ind.len() {
+        // Neighbour pairs (k, k + 1) for k in lo..hi.
+        let hi = (lo + CHUNK).min(col_ind.len() - 1);
+        let (mut n, mut m) = (0u32, 0);
+        for (&a, &b) in col_ind[lo..hi].iter().zip(&col_ind[lo + 1..=hi]) {
+            n += u32::from(a >= b);
+            m = m.max(a);
+        }
+        non_ascending += n as usize;
+        max_col = max_col.max(m);
+        while row + 1 < row_ptr.len() && row_ptr[row] <= hi {
+            let (s, e) = (row_ptr[row], row_ptr[row + 1]);
+            if s > 0 && s < e {
+                at_row_starts += usize::from(col_ind[s - 1] >= col_ind[s]);
+            }
+            row += 1;
+        }
+        lo = hi;
+    }
+    non_ascending == at_row_starts && (max_col as usize) < cols
+}
+
+/// The per-row structural walk: reports the first defect with its row.
+fn validate_rows(rows: usize, cols: usize, row_ptr: &[usize], col_ind: &[Index]) -> Result<()> {
     for i in 0..rows {
         if row_ptr[i] > row_ptr[i + 1] {
             return Err(SparseError::InvalidFormat(format!(
@@ -89,6 +160,26 @@ fn validate_parts<T>(
                 return Err(SparseError::IndexOutOfBounds {
                     index: (i, last as usize),
                     shape: (rows, cols),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The per-row value walk: reports the first non-finite value with its
+/// coordinate.
+fn validate_finite_rows<T: Scalar>(
+    row_ptr: &[usize],
+    col_ind: &[Index],
+    values: &[T],
+) -> Result<()> {
+    for i in 0..row_ptr.len() - 1 {
+        let cols = &col_ind[row_ptr[i]..row_ptr[i + 1]];
+        for (k, &v) in values[row_ptr[i]..row_ptr[i + 1]].iter().enumerate() {
+            if !v.is_finite() {
+                return Err(SparseError::NonFiniteValue {
+                    index: (i, cols[k] as usize),
                 });
             }
         }
@@ -160,17 +251,17 @@ impl<T: Scalar> CsrMatrix<T> {
     /// accumulator it touches, which is a wrong-answer bug, not a crash.
     pub fn validate_finite(&self) -> Result<()> {
         self.validate()?;
-        for i in 0..self.rows {
-            let cols = self.row_cols(i);
-            for (k, &v) in self.row_values(i).iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(SparseError::NonFiniteValue {
-                        index: (i, cols[k] as usize),
-                    });
-                }
-            }
+        // Counted in 32-bit lanes per chunk, so the fold vectorizes; the
+        // per-row walk locates a defect only when one exists.
+        let non_finite = self
+            .values
+            .chunks(4096)
+            .map(|c| c.iter().map(|v| u32::from(!v.is_finite())).sum::<u32>() as usize)
+            .sum::<usize>();
+        if non_finite == 0 {
+            return Ok(());
         }
-        Ok(())
+        validate_finite_rows(&self.row_ptr, &self.col_ind, &self.values)
     }
 
     /// Convert from COO (already sorted and deduplicated).
@@ -428,6 +519,120 @@ mod tests {
             c.validate_finite(),
             Err(SparseError::NonFiniteValue { index: (1, 2) })
         ));
+    }
+
+    /// What `validate` / `validate_finite` returned before the
+    /// whole-array checks: the per-row walks, run unconditionally.
+    fn by_rows(m: &CsrMatrix<f64>, finite: bool) -> Result<()> {
+        let (rp, ci, vals) = (m.row_ptr(), m.col_ind(), m.values());
+        validate_lengths(m.rows(), rp, ci, vals)?;
+        validate_rows(m.rows(), m.cols(), rp, ci)?;
+        if finite {
+            validate_finite_rows(rp, ci, vals)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn whole_array_checks_return_exactly_what_the_row_walk_returns() {
+        // 8 x 10 with empty rows at the start, between rows and at the
+        // end, so row-boundary neighbours straddle empty rows.
+        let coo = CooMatrix::from_triplets(
+            8,
+            10,
+            vec![
+                (1, 1, 1.0),
+                (1, 4, 2.0),
+                (1, 7, 3.0),
+                (2, 0, 4.0),
+                (2, 2, 5.0),
+                (5, 3, 6.0),
+                (5, 5, 7.0),
+                (5, 8, 8.0),
+                (5, 9, 9.0),
+                (6, 6, 10.0),
+            ],
+        )
+        .unwrap();
+        let m = CsrMatrix::from_coo(&coo);
+        let (rp, ci, vals) = (
+            m.row_ptr().to_vec(),
+            m.col_ind().to_vec(),
+            m.values().to_vec(),
+        );
+        let nnz = ci.len();
+        let mut cases = vec![m.clone()];
+        // Row pointers: non-monotone steps, interior overshoot past nnz,
+        // and every end-point defect.
+        for i in 0..rp.len() {
+            for p in [0, rp[i].saturating_sub(1), rp[i] + 1, nnz, nnz + 1, nnz + 5] {
+                let mut bad = rp.clone();
+                bad[i] = p;
+                cases.push(CsrMatrix::from_raw_unchecked(
+                    8,
+                    10,
+                    bad,
+                    ci.clone(),
+                    vals.clone(),
+                ));
+            }
+        }
+        // Columns: equal or descending neighbours inside a row and at a
+        // row boundary (legal there, across empty rows too), and columns
+        // at or past `cols`, at every slot.
+        for k in 0..nnz {
+            let near = [ci[k].saturating_sub(1), ci[k] + 1];
+            let neighbours = [k.checked_sub(1).map(|j| ci[j]), ci.get(k + 1).copied()];
+            for c in near
+                .into_iter()
+                .chain(neighbours.into_iter().flatten())
+                .chain([0, 9, 10, 11, Index::MAX])
+            {
+                let mut bad = ci.clone();
+                bad[k] = c;
+                cases.push(CsrMatrix::from_raw_unchecked(
+                    8,
+                    10,
+                    rp.clone(),
+                    bad,
+                    vals.clone(),
+                ));
+            }
+        }
+        // Values: NaN and +-Inf at the first, a middle and the last slot
+        // (and every other).
+        for k in 0..nnz {
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bad = vals.clone();
+                bad[k] = v;
+                cases.push(CsrMatrix::from_raw_unchecked(
+                    8,
+                    10,
+                    rp.clone(),
+                    ci.clone(),
+                    bad,
+                ));
+            }
+        }
+        let mut rejected = 0;
+        for (i, c) in cases.iter().enumerate() {
+            let want = by_rows(c, false);
+            rejected += usize::from(want.is_err());
+            assert_eq!(
+                format!("{:?}", c.validate()),
+                format!("{want:?}"),
+                "case {i}: {c:?}"
+            );
+            assert_eq!(
+                format!("{:?}", c.validate_finite()),
+                format!("{:?}", by_rows(c, true)),
+                "case {i} (finite): {c:?}"
+            );
+        }
+        assert!(
+            rejected > cases.len() / 2,
+            "the mutations must mostly be defects"
+        );
     }
 
     #[test]

@@ -44,6 +44,8 @@ pub trait Scalar:
     fn is_nan(self) -> bool;
     /// `true` if the value is finite (not NaN / ±inf).
     fn is_finite(self) -> bool;
+    /// The IEEE-754 bit pattern, zero-extended to 64 bits (hashing).
+    fn bits(self) -> u64;
     /// Fused semantics not required; plain `a*b + self` accumulation.
     #[inline]
     fn mul_add_acc(&mut self, a: Self, b: Self) {
@@ -86,6 +88,10 @@ macro_rules! impl_scalar {
             #[inline]
             fn is_finite(self) -> bool {
                 <$t>::is_finite(self)
+            }
+            #[inline]
+            fn bits(self) -> u64 {
+                u64::from(<$t>::to_bits(self))
             }
         }
     };

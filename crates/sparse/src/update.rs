@@ -183,73 +183,95 @@ impl<T: Scalar> CsrMatrix<T> {
         let mut values: Vec<T> = Vec::with_capacity(new_nnz);
         row_ptr.push(0usize);
 
+        // Untouched rows move in runs: one bulk copy of the run's entries
+        // and its row pointers shifted by the entries gained or lost so
+        // far. Only touched rows go through the two-pointer merge.
+        let mut run = 0; // first row of the pending untouched run
         let mut k = 0; // cursor into `ops`
-        for r in 0..rows {
-            let old_cols = self.row_cols(r);
-            let old_vals = self.row_values(r);
+        while k < ops.len() {
+            let r = ops[k].0;
             let row_ops_start = k;
             while k < ops.len() && ops[k].0 == r {
                 k += 1;
             }
-            let row_ops = &ops[row_ops_start..k];
-            if row_ops.is_empty() {
-                col_ind.extend_from_slice(old_cols);
-                values.extend_from_slice(old_vals);
-            } else {
-                // Two-pointer merge of the existing row with its sorted ops.
-                let mut i = 0;
-                let mut j = 0;
-                while i < old_cols.len() || j < row_ops.len() {
-                    let next_old = old_cols.get(i).map(|&c| c as usize);
-                    let next_op = row_ops.get(j).map(|&(_, c, _)| c);
-                    match (next_old, next_op) {
-                        (Some(oc), Some(uc)) if oc < uc => {
-                            col_ind.push(old_cols[i]);
-                            values.push(old_vals[i]);
-                            i += 1;
-                        }
-                        (Some(oc), Some(uc)) if oc == uc => {
-                            match row_ops[j].2 {
-                                Op::Delete => {}
-                                Op::Set(v) => {
-                                    col_ind.push(old_cols[i]);
-                                    values.push(v);
-                                }
-                                // Validation rejected inserts on present
-                                // entries.
-                                Op::Insert(_) => unreachable!("validated batch"),
-                            }
-                            i += 1;
-                            j += 1;
-                        }
-                        (_, Some(uc)) => {
-                            match row_ops[j].2 {
-                                Op::Insert(v) => {
-                                    col_ind.push(uc as Index);
-                                    values.push(v);
-                                }
-                                // Validation rejected delete/set on absent
-                                // entries.
-                                _ => unreachable!("validated batch"),
-                            }
-                            j += 1;
-                        }
-                        (Some(_), None) => {
-                            col_ind.push(old_cols[i]);
-                            values.push(old_vals[i]);
-                            i += 1;
-                        }
-                        (None, None) => break,
-                    }
-                }
-            }
+            copy_run(self, run..r, &mut row_ptr, &mut col_ind, &mut values);
+            merge_row(
+                self.row_cols(r),
+                self.row_values(r),
+                &ops[row_ops_start..k],
+                &mut col_ind,
+                &mut values,
+            );
             row_ptr.push(col_ind.len());
+            run = r + 1;
         }
+        copy_run(self, run..rows, &mut row_ptr, &mut col_ind, &mut values);
         debug_assert_eq!(col_ind.len(), new_nnz);
         Ok(CsrMatrix::from_raw_unchecked(
             rows, cols, row_ptr, col_ind, values,
         ))
     }
+}
+
+/// Append the untouched rows `rows` unchanged: their entries in one
+/// copy per array, their row pointers shifted to the output position.
+fn copy_run<T: Scalar>(
+    src: &CsrMatrix<T>,
+    rows: std::ops::Range<usize>,
+    row_ptr: &mut Vec<usize>,
+    col_ind: &mut Vec<Index>,
+    values: &mut Vec<T>,
+) {
+    if rows.is_empty() {
+        return;
+    }
+    let old_ptr = src.row_ptr();
+    let (lo, hi) = (old_ptr[rows.start], old_ptr[rows.end]);
+    let base = col_ind.len();
+    col_ind.extend_from_slice(&src.col_ind()[lo..hi]);
+    values.extend_from_slice(&src.values()[lo..hi]);
+    row_ptr.extend(
+        old_ptr[rows.start + 1..=rows.end]
+            .iter()
+            .map(|&p| p - lo + base),
+    );
+}
+
+/// Merge one existing row with its sorted, validated ops: the old
+/// entries between consecutive ops move with one copy per array.
+fn merge_row<T: Scalar>(
+    old_cols: &[Index],
+    old_vals: &[T],
+    row_ops: &[(usize, usize, Op<T>)],
+    col_ind: &mut Vec<Index>,
+    values: &mut Vec<T>,
+) {
+    let mut i = 0;
+    for &(_, uc, op) in row_ops {
+        // Old entries left of the op's column pass through in one copy.
+        let below = i + old_cols[i..].partition_point(|&c| (c as usize) < uc);
+        col_ind.extend_from_slice(&old_cols[i..below]);
+        values.extend_from_slice(&old_vals[i..below]);
+        i = below;
+        let present = old_cols.get(i).is_some_and(|&c| c as usize == uc);
+        match (op, present) {
+            (Op::Delete, true) => i += 1,
+            (Op::Set(v), true) => {
+                col_ind.push(old_cols[i]);
+                values.push(v);
+                i += 1;
+            }
+            (Op::Insert(v), false) => {
+                col_ind.push(uc as Index);
+                values.push(v);
+            }
+            // Validation rejected inserts on present entries and
+            // delete/set on absent ones.
+            _ => unreachable!("validated batch"),
+        }
+    }
+    col_ind.extend_from_slice(&old_cols[i..]);
+    values.extend_from_slice(&old_vals[i..]);
 }
 
 #[cfg(test)]
@@ -423,6 +445,78 @@ mod tests {
         assert_eq!(a.row_ptr(), b.row_ptr());
         assert_eq!(a.col_ind(), b.col_ind());
         assert_eq!(a.values(), b.values());
+    }
+
+    #[test]
+    fn random_batches_match_coo_rebuild() {
+        // Runs of untouched rows of every length (including none, and
+        // the first and last rows), several ops on one row, and rows
+        // emptied or filled from empty.
+        let mut rng = crate::Pcg32::seed_from_u64(0xDE17A);
+        for trial in 0..200 {
+            let rows = rng.usize_in(1, 24);
+            let cols = rng.usize_in(1, 24);
+            let mut trips = Vec::new();
+            for r in 0..rows {
+                if rng.bernoulli(0.3) {
+                    continue; // an empty row
+                }
+                for c in 0..cols {
+                    if rng.bernoulli(0.3) {
+                        trips.push((r, c, rng.f64_in(0.5, 1.5)));
+                    }
+                }
+            }
+            let a = CsrMatrix::from_coo(&CooMatrix::from_triplets(rows, cols, trips).unwrap());
+            let mut want: std::collections::BTreeMap<(usize, usize), f64> =
+                a.iter().map(|(r, c, v)| ((r, c), v)).collect();
+            let mut batch = Vec::new();
+            for r in 0..rows {
+                if !rng.bernoulli(0.3) {
+                    continue;
+                }
+                for c in 0..cols {
+                    if !rng.bernoulli(0.4) {
+                        continue;
+                    }
+                    let v = rng.f64_in(2.0, 3.0);
+                    let (u, now) = match (want.contains_key(&(r, c)), rng.bernoulli(0.5)) {
+                        (true, true) => (EdgeUpdate::Delete { row: r, col: c }, None),
+                        (true, false) => (
+                            EdgeUpdate::SetValue {
+                                row: r,
+                                col: c,
+                                value: v,
+                            },
+                            Some(v),
+                        ),
+                        (false, _) => (
+                            EdgeUpdate::Insert {
+                                row: r,
+                                col: c,
+                                value: v,
+                            },
+                            Some(v),
+                        ),
+                    };
+                    match now {
+                        Some(v) => want.insert((r, c), v),
+                        None => want.remove(&(r, c)),
+                    };
+                    batch.push(u);
+                }
+            }
+            rng.shuffle(&mut batch);
+            let b = a.apply_updates(&batch).unwrap();
+            let trips: Vec<(usize, usize, f64)> =
+                want.into_iter().map(|((r, c), v)| (r, c, v)).collect();
+            let want = CsrMatrix::from_coo(&CooMatrix::from_triplets(rows, cols, trips).unwrap());
+            assert_eq!(b.row_ptr(), want.row_ptr(), "trial {trial}");
+            assert_eq!(b.col_ind(), want.col_ind(), "trial {trial}");
+            let bits =
+                |m: &CsrMatrix<f64>| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&b), bits(&want), "trial {trial}");
+        }
     }
 
     #[test]
