@@ -18,8 +18,8 @@
 use lf_kernels::simd::{avx2_available, Lanes, TileParams, MAX_K_BLOCK};
 use lf_sim::calibration;
 use lf_sim::parallel::default_workers;
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Quantized matrix-family features the tile cache is keyed on.
@@ -71,12 +71,17 @@ const K_BLOCKS: [usize; 3] = [32, 16, 8];
 const CHUNKS: [usize; 3] = [4096, 8192, 16384];
 
 static CACHE: Mutex<Option<HashMap<TileKey, TileParams>>> = Mutex::new(None);
-static HITS: AtomicUsize = AtomicUsize::new(0);
-static MISSES: AtomicUsize = AtomicUsize::new(0);
 
-/// `(hits, misses)` of the process-wide tile-plan cache.
+thread_local! {
+    static HITS: Cell<usize> = const { Cell::new(0) };
+    static MISSES: Cell<usize> = const { Cell::new(0) };
+}
+
+/// `(hits, misses)` of the calling thread's lookups in the process-wide
+/// tile-plan cache. Per thread, so a lookup on another thread never
+/// moves the count between two reads.
 pub fn tile_cache_stats() -> (usize, usize) {
-    (HITS.load(Ordering::Relaxed), MISSES.load(Ordering::Relaxed))
+    (HITS.get(), MISSES.get())
 }
 
 /// Predicted nanoseconds for running one SpMM at dense width `j` under
@@ -195,10 +200,10 @@ pub fn plan_tile(features: TileFeatures, j: usize) -> TileParams {
     let mut guard = CACHE.lock().unwrap_or_else(|e| e.into_inner());
     let cache = guard.get_or_insert_with(HashMap::new);
     if let Some(&params) = cache.get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
+        HITS.set(HITS.get() + 1);
         return params;
     }
-    MISSES.fetch_add(1, Ordering::Relaxed);
+    MISSES.set(MISSES.get() + 1);
     let (params, _) = search_tile(features, j);
     cache.insert(key, params);
     params

@@ -39,9 +39,10 @@ pub struct ServeConfig {
     /// wide on its own always runs solo. Ignored when coalescing is off.
     pub max_batch_j: usize,
     /// Directory for the disk tier of the plan cache (`None` disables
-    /// it — the default). With a store, RAM-evicted plans are demoted
-    /// to disk instead of dropped, RAM misses check disk before
-    /// composing, and engine construction **warms** the cache from the
+    /// it — the default). With a store, RAM-evicted CELL plans are
+    /// demoted to disk instead of dropped (fixed-CSR plans, cheaper to
+    /// recompose than to read back, are still dropped), RAM misses check
+    /// disk before composing, and engine construction **warms** the cache from the
     /// directory (every record strictly re-validated; failures are
     /// counted in `warm_rejected` and never served). See DESIGN.md §13.
     pub store_dir: Option<String>,

@@ -25,8 +25,8 @@
 //!   (hit/miss/rejected/degraded/failed, [`ServeStats`]);
 //! * the plan cache behind it — a sharded LRU of [`PreparedPlan`]s
 //!   keyed by `(fingerprint, j)` under a configurable byte budget, with
-//!   an optional crash-safe disk tier ([`PlanStore`]) that evicted plans
-//!   demote to and restarts warm from;
+//!   an optional crash-safe disk tier ([`PlanStore`]) that evicted CELL
+//!   plans demote to and restarts warm from;
 //! * **fault isolation** (DESIGN.md §10) — strict input validation with
 //!   typed [`LfError`](liteform_core::LfError) rejections, per-request
 //!   `catch_unwind` containment, poisoned-plan quarantine, cooperative

@@ -4,7 +4,7 @@
 //! A [`PlanStore`] keeps one file per `(fingerprint, j)` plan record in
 //! a flat directory, plus a manifest carrying the placement metadata
 //! (use counts, recompose cost) that should survive a restart. The
-//! serving engine demotes RAM-evicted plans here instead of dropping
+//! serving engine demotes RAM-evicted CELL plans here instead of dropping
 //! them, promotes records back on a RAM miss, and warms the cache from
 //! the directory at startup — so a process restart is no longer a
 //! cold-compose storm. Demotions reach the store through the engine's

@@ -17,7 +17,7 @@ use lf_serve::{
 };
 use lf_sparse::gen::mixed_regions;
 use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
-use liteform_core::{LfError, PreparedPlan, PreprocessProfile};
+use liteform_core::{LfError, LfResult, PreparedPlan, PreprocessProfile};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -258,6 +258,120 @@ fn without_a_store_evicted_bytes_are_counted_as_dropped() {
         "dropped bytes must be charged: {s:?}"
     );
     assert_eq!(s.store_bytes, 0);
+}
+
+/// Plans fixed CSR for one matrix and CELL for every other.
+struct SplitPlanner {
+    csr: Fingerprint,
+}
+
+impl Planner<f64> for SplitPlanner {
+    fn prepare(&self, a: &CsrMatrix<f64>, j: usize) -> LfResult<PreparedPlan<f64>> {
+        if Fingerprint::of_csr(a) == self.csr {
+            Ok(PreparedPlan::from_csr(a.clone(), PreprocessProfile::default()).with_tuned_j(j))
+        } else {
+            Planner::<f64>::prepare(&FixedCellPlanner::tuned(4), a, j)
+        }
+    }
+}
+
+#[test]
+fn evicted_csr_plans_are_dropped_and_cell_plans_demoted() {
+    let _g = locked();
+    for (placement, name) in [
+        (Placement::CostAware, "csr-dropped-cost"),
+        (Placement::LruBytes, "csr-dropped-lru"),
+    ] {
+        csr_plans_are_dropped_under(placement, &scratch(name));
+    }
+}
+
+fn csr_plans_are_dropped_under(placement: Placement, dir: &Path) {
+    let config = || ServeConfig {
+        placement,
+        ..store_config(dir)
+    };
+    let (c, l) = (matrix(14), matrix(15));
+    let (fc, fl) = (Fingerprint::of_csr(&c), Fingerprint::of_csr(&l));
+    let planner = || SplitPlanner { csr: fc };
+    let csr_bytes = planner().prepare(&c, 8).unwrap().format_bytes();
+    let cell_plan = planner().prepare(&l, 8).unwrap();
+    assert!(cell_plan.uses_cell());
+    // One shard with room for one plan: each admission evicts the other.
+    let e = ServeEngine::new(
+        planner(),
+        ServeConfig {
+            shards: 1,
+            byte_budget: csr_bytes.max(cell_plan.format_bytes()),
+            ..config()
+        },
+    );
+    let mut rng = Pcg32::seed_from_u64(0xC5C5);
+    let b = DenseMatrix::random(128, 8, &mut rng);
+    let bits = |m: &DenseMatrix<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let reference = |a: &CsrMatrix<f64>| bits(&a.spmm_reference(&b).unwrap());
+    let on_disk = |fp: &Fingerprint| {
+        let store: PlanStore<f64> = PlanStore::open(StoreConfig {
+            dir: dir.to_path_buf(),
+            disk_budget_bytes: 0,
+            placement,
+        })
+        .unwrap();
+        store.get(fp, 8).unwrap().is_some()
+    };
+
+    assert!(!e.serve(&c, &b).unwrap().hit);
+    assert!(!e.serve(&l, &b).unwrap().hit); // evicts the CSR plan
+    e.flush_demotions();
+    let s = e.stats();
+    assert_eq!((s.evictions, s.demotions), (1, 0), "{s:?}");
+    assert_eq!(s.evicted_bytes as usize, csr_bytes, "{s:?}");
+    assert!(!on_disk(&fc), "an evicted CSR plan leaves no record");
+
+    // The CSR key's next serve recomposes; it evicts the CELL plan.
+    let again = e.serve(&c, &b).unwrap();
+    assert!(
+        !again.hit && again.compose.is_some(),
+        "a miss, not a disk hit"
+    );
+    assert_eq!(bits(&again.result), reference(&c), "recomposed CSR plan");
+    e.flush_demotions();
+    let s = e.stats();
+    assert_eq!((s.evictions, s.demotions), (2, 1), "{s:?}");
+    assert_eq!(s.evicted_bytes as usize, csr_bytes, "{s:?}");
+    assert!(on_disk(&fl), "an evicted CELL plan is demoted");
+
+    // The CELL key comes back from disk; its admission drops the CSR plan.
+    let back = e.serve(&l, &b).unwrap();
+    assert!(back.hit && back.compose.is_none(), "a disk hit");
+    assert_eq!(bits(&back.result), reference(&l), "promoted CELL plan");
+    e.flush_demotions();
+    let s = e.stats();
+    assert_eq!((s.disk_hits, s.promotions), (1, 1), "{s:?}");
+    assert_eq!((s.evictions, s.demotions), (3, 1), "{s:?}");
+    assert_eq!(s.evicted_bytes as usize, 2 * csr_bytes, "{s:?}");
+    assert!(!on_disk(&fc), "still no CSR record");
+
+    // A snapshot writes the RAM tier, CSR plans included.
+    assert!(!e.serve(&c, &b).unwrap().hit);
+    assert_eq!(e.snapshot().unwrap(), 1);
+    assert!(on_disk(&fc), "snapshot writes the resident CSR plan");
+    let s = e.stats();
+    assert_eq!(
+        s.requests(),
+        s.hits + s.misses + s.rejected + s.degraded + s.failed
+    );
+    drop(e);
+
+    // A reopen with room for both warms both.
+    let e = ServeEngine::new(planner(), config());
+    assert_eq!(e.stats().warm_loaded, 2, "{:?}", e.stats());
+    for (a, what) in [(&c, "warm CSR plan"), (&l, "warm CELL plan")] {
+        let out = e.serve(a, &b).unwrap();
+        assert!(out.hit && out.compose.is_none(), "{what}: a warm hit");
+        assert_eq!(bits(&out.result), reference(a), "{what}");
+    }
+    let _ = fs::remove_dir_all(dir);
 }
 
 #[test]
