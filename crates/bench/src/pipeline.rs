@@ -35,9 +35,15 @@ pub struct TrainStats {
 /// (`None` when loaded from cache).
 pub fn train_pipeline(env: &BenchEnv, cache: Option<&Path>) -> (LiteForm, Option<TrainStats>) {
     if let Some(path) = cache {
-        if let Ok(bundle) = ModelBundle::load(path) {
-            eprintln!("[loaded pretrained bundle from {}]", path.display());
-            return (bundle.into_liteform(), None);
+        match ModelBundle::load(path) {
+            Ok(bundle) => {
+                eprintln!("[loaded pretrained bundle from {}]", path.display());
+                return (bundle.into_liteform(), None);
+            }
+            Err(e) => eprintln!(
+                "[cannot load pretrained bundle from {}: {e}; retraining]",
+                path.display()
+            ),
         }
     }
     let device = DeviceModel::v100();

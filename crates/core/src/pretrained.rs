@@ -53,19 +53,35 @@ impl ModelBundle {
         Ok(())
     }
 
-    /// Load from JSON.
+    /// Load from JSON, refusing a bundle that fails
+    /// [`ModelBundle::validate`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let json = std::fs::read_to_string(path)?;
         let bundle: ModelBundle = serde_json::from_str(&json)
             .map_err(|e| SparseError::InvalidFormat(format!("parse bundle: {e}")))?;
-        if bundle.version != Self::VERSION {
+        bundle.validate()?;
+        Ok(bundle)
+    }
+
+    /// Check a decoded bundle before it is trusted to compose: the
+    /// supported version, and both models trained with forests whose
+    /// child indices point forward within their arenas and whose feature
+    /// and class indices fit the model. A bundle that passes predicts on
+    /// any features without panicking.
+    pub fn validate(&self) -> Result<()> {
+        if self.version != Self::VERSION {
             return Err(SparseError::InvalidFormat(format!(
                 "bundle version {} != supported {}",
-                bundle.version,
+                self.version,
                 Self::VERSION
             )));
         }
-        Ok(bundle)
+        self.selector
+            .validate()
+            .map_err(|e| SparseError::InvalidFormat(format!("bundle selector: {e}")))?;
+        self.predictor
+            .validate()
+            .map_err(|e| SparseError::InvalidFormat(format!("bundle predictor: {e}")))
     }
 }
 
@@ -145,6 +161,32 @@ mod tests {
         let path = std::env::temp_dir().join("lf_bundle_badver.json");
         std::fs::write(&path, serde_json::to_string(&bundle).unwrap()).unwrap();
         assert!(ModelBundle::load(&path).is_err());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn corrupt_models_are_refused_at_load() {
+        let json =
+            serde_json::to_string(&ModelBundle::from_liteform(&trained_pipeline(), "t")).unwrap();
+        let path = std::env::temp_dir().join("lf_bundle_corrupt.json");
+        let at = json.find(r#""feature":"#).unwrap() + r#""feature":"#.len();
+        let digits = json[at..].bytes().take_while(u8::is_ascii_digit).count();
+        let corrupt = [
+            // The selector reads seven features: index 7 is out of range.
+            format!("{}7{}", &json[..at], &json[at + digits..]),
+            // The selector has two classes.
+            json.replacen(r#""class":1"#, r#""class":2"#, 1),
+            json.replacen(r#""trained":true"#, r#""trained":false"#, 1),
+            json.replacen(r#""n_classes":6"#, r#""n_classes":7"#, 1),
+        ];
+        for bad in &corrupt {
+            assert_ne!(bad, &json);
+            assert!(serde_json::from_str::<ModelBundle>(bad).is_ok(), "decodes");
+            std::fs::write(&path, bad).unwrap();
+            assert!(ModelBundle::load(&path).is_err(), "loads: {}", &bad[..200]);
+        }
+        std::fs::write(&path, &json).unwrap();
+        assert!(ModelBundle::load(&path).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -18,10 +18,13 @@
 #             iteration counts (including the same-fingerprint request-
 #             coalescing storm and the batched-vs-solo bitwise property
 #             suite), plus the plan-codec serialization suite (round-
-#             trip + 2000-mutation decoder fuzz), the store crash-
-#             recovery suite, and the incremental-vs-rebuild mutation
-#             suite (migrated plans bitwise-equal to fresh composes),
-#             all in release mode;
+#             trip + 2000-mutation decoder fuzz), the model-bundle
+#             decoder fuzz (2000 mutations of the checked-in bundle:
+#             no panic, every accepted bundle validated) and the
+#             training-corpus golden test of the flat forests, the
+#             store crash-recovery suite, and the incremental-vs-rebuild
+#             mutation suite (migrated plans bitwise-equal to fresh
+#             composes), all in release mode;
 #   --check   appends the verification tier (lf-check): the model
 #             checker's self-tests, the lint rule fixtures and the
 #             seeded-bug rediscovery suite (lock-order inversion in
@@ -103,6 +106,9 @@ if [[ "$RUN_STRESS" == "1" ]]; then
   cargo test --release -p lf-serve --test cache_properties -q
   echo "==> plan-codec serialization suite (release)"
   cargo test --release -p liteform-core --test plan_codec -q
+  echo "==> model-bundle decoder fuzz + flat-forest golden tests (release)"
+  cargo test --release -p liteform-core --test bundle_fuzz -q
+  cargo test --release -p liteform-core --test model_bundle -q
   echo "==> store crash-recovery suite (release)"
   cargo test --release -p lf-serve --test store_recovery -q
   echo "==> incremental-vs-rebuild mutation suite (release)"

@@ -1,12 +1,16 @@
 //! `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the offline
 //! serde shim. Parses the derive input token stream by hand (no
 //! `syn`/`quote` available offline) and emits impls of the shim's
-//! Value-based traits.
+//! traits: `Serialize` builds a `serde::Value`; `Deserialize` streams
+//! from a `serde::Reader`, matching each object key as it is read
+//! (unknown keys are skipped, missing or repeated ones are errors).
 //!
 //! Supported input shapes — everything this workspace uses:
 //! * structs with named fields,
 //! * unit structs,
-//! * enums whose variants are unit, tuple, or struct-like.
+//! * enums whose variants are unit, tuple (one to four fields), or
+//!   struct-like, externally tagged as in serde: a unit variant is its
+//!   name as a string, any other a one-key object `{"Name": payload}`.
 //!
 //! Generics and `#[serde(...)]` attributes are rejected with a panic at
 //! macro-expansion time so misuse is loud, not silent.
@@ -287,91 +291,95 @@ fn gen_serialize(name: &str, shape: &Shape) -> String {
     )
 }
 
+/// Code that reads one JSON object into `ctor { fields }`, dispatching
+/// on each key as it is read and skipping unknown keys.
+fn gen_fields(ctor: &str, fields: &[String]) -> String {
+    let mut decls = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (k, f) in fields.iter().enumerate() {
+        decls.push_str(&format!("let mut __f{k} = ::std::option::Option::None;\n"));
+        arms.push_str(&format!("\"{f}\" => __r.fill(&mut __f{k}, \"{f}\")?,\n"));
+        inits.push_str(&format!(
+            "{f}: __f{k}.ok_or_else(|| ::serde::Error::missing(\"{f}\"))?,\n"
+        ));
+    }
+    format!(
+        "{{ __r.begin_object()?;\n{decls}\
+         while let ::std::option::Option::Some(__k) = __r.next_key()? {{\n\
+         match &*__k {{\n{arms}_ => __r.skip_value()?,\n}}\n}}\n\
+         {ctor} {{\n{inits}}} }}"
+    )
+}
+
 fn gen_deserialize(name: &str, shape: &Shape) -> String {
     let body = match shape {
+        Shape::Struct(fields) if fields.is_empty() => {
+            format!("__r.skip_value()?;\n::std::result::Result::Ok({name})")
+        }
         Shape::Struct(fields) => {
-            if fields.is_empty() {
-                format!("let _ = __v; ::std::result::Result::Ok({name})")
-            } else {
-                let inits = fields
-                    .iter()
-                    .map(|f| {
-                        format!(
-                            "{f}: ::serde::Deserialize::from_value(::serde::field(__obj, \"{f}\")?)?"
-                        )
-                    })
-                    .collect::<Vec<_>>()
-                    .join(",\n");
-                format!(
-                    "let __obj = __v.as_object().ok_or_else(|| \
-                     ::serde::Error::msg(\"expected object for {name}\"))?;\n\
-                     ::std::result::Result::Ok({name} {{\n{inits}\n}})"
-                )
-            }
+            format!("::std::result::Result::Ok({})", gen_fields(name, fields))
         }
         Shape::Enum(variants) => {
+            // Externally tagged: a unit variant is a string, any other is
+            // an object with exactly one key, the variant name.
+            let unknown =
+                format!("::std::result::Result::Err(__r.error(\"unknown variant for {name}\"))");
             let mut unit_arms = String::new();
             let mut tagged_arms = String::new();
             for (v, payload) in variants {
-                match payload {
-                    VariantPayload::Unit => unit_arms.push_str(&format!(
-                        "\"{v}\" => return ::std::result::Result::Ok({name}::{v}),\n"
-                    )),
+                let construct = match payload {
+                    VariantPayload::Unit => {
+                        unit_arms.push_str(&format!(
+                            "\"{v}\" => ::std::result::Result::Ok({name}::{v}),\n"
+                        ));
+                        continue;
+                    }
+                    VariantPayload::Tuple(1) => {
+                        format!("{name}::{v}(::serde::Deserialize::deserialize(__r)?)")
+                    }
                     VariantPayload::Tuple(n) => {
-                        let construct = if *n == 1 {
-                            format!("{name}::{v}(::serde::Deserialize::from_value(__inner)?)")
-                        } else {
-                            let gets = (0..*n)
-                                .map(|k| {
-                                    format!(
-                                        "::serde::Deserialize::from_value(__arr.get({k}).ok_or_else(|| \
-                                         ::serde::Error::msg(\"short tuple for {v}\"))?)?"
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                                .join(", ");
-                            format!(
-                                "{{ let __arr = __inner.as_array().ok_or_else(|| \
-                                 ::serde::Error::msg(\"expected array for {v}\"))?; \
-                                 {name}::{v}({gets}) }}"
-                            )
-                        };
-                        tagged_arms.push_str(&format!(
-                            "\"{v}\" => return ::std::result::Result::Ok({construct}),\n"
-                        ));
-                    }
-                    VariantPayload::Struct(fields) => {
-                        let inits = fields
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::from_value(::serde::field(__fields, \"{f}\")?)?"
-                                )
-                            })
+                        assert!(
+                            (2..=4).contains(n),
+                            "serde shim derive: tuple variant `{name}::{v}` needs 1 to 4 fields"
+                        );
+                        let binds = (0..*n)
+                            .map(|k| format!("__t{k}"))
                             .collect::<Vec<_>>()
-                            .join(",\n");
-                        tagged_arms.push_str(&format!(
-                            "\"{v}\" => {{ let __fields = __inner.as_object().ok_or_else(|| \
-                             ::serde::Error::msg(\"expected object for {v}\"))?; \
-                             return ::std::result::Result::Ok({name}::{v} {{\n{inits}\n}}); }}\n"
-                        ));
+                            .join(", ");
+                        format!(
+                            "{{ let ({binds}) = ::serde::Deserialize::deserialize(__r)?; \
+                             {name}::{v}({binds}) }}"
+                        )
                     }
-                }
+                    VariantPayload::Struct(fields) => gen_fields(&format!("{name}::{v}"), fields),
+                };
+                tagged_arms.push_str(&format!("\"{v}\" => {construct},\n"));
             }
+            let tagged = if tagged_arms.is_empty() {
+                unknown.clone()
+            } else {
+                format!(
+                    "__r.begin_object()?;\n\
+                     let __tag = match __r.next_key()? {{\n\
+                     ::std::option::Option::Some(__tag) => __tag,\n\
+                     ::std::option::Option::None => return {unknown},\n}};\n\
+                     let __out = match &*__tag {{\n{tagged_arms}_ => return {unknown},\n}};\n\
+                     if __r.next_key()?.is_some() {{\n\
+                     return ::std::result::Result::Err(__r.error(\"more than one key for {name}\"));\n}}\n\
+                     ::std::result::Result::Ok(__out)"
+                )
+            };
             format!(
-                "if let ::std::option::Option::Some(__s) = __v.as_str() {{\n\
-                 match __s {{\n{unit_arms}_ => {{}}\n}}\n}}\n\
-                 if let ::std::option::Option::Some(__obj) = __v.as_object() {{\n\
-                 if __obj.len() == 1 {{\n\
-                 let (__tag, __inner) = &__obj[0];\n\
-                 match __tag.as_str() {{\n{tagged_arms}_ => {{}}\n}}\n}}\n}}\n\
-                 ::std::result::Result::Err(::serde::Error::msg(\"unknown variant for {name}\"))"
+                "if __r.peek() == ::std::option::Option::Some(b'\"') {{\n\
+                 let __s = __r.read_str()?;\n\
+                 return match &*__s {{\n{unit_arms}_ => {unknown},\n}};\n}}\n{tagged}"
             )
         }
     };
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
-         fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
+         fn deserialize(__r: &mut ::serde::Reader<'_>) -> ::std::result::Result<Self, ::serde::Error> {{\n\
          {body}\n}}\n}}\n"
     )
 }

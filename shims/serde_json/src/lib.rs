@@ -1,9 +1,13 @@
-//! Offline stand-in for `serde_json`: prints and parses the serde shim's
-//! [`Value`] tree as standard JSON text.
+//! Offline stand-in for `serde_json`. Serialization prints the serde
+//! shim's [`Value`] tree as standard JSON text. Deserialization is
+//! [`from_str`]: it runs the target type's streaming
+//! [`Deserialize`](serde::Deserialize) impl over a [`serde::Reader`] and
+//! refuses trailing input, so no `Value` tree is built unless the target
+//! is `Value`. Nesting deeper than [`serde::MAX_DEPTH`] is an error.
 
 pub use serde::{Error, Value};
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Reader, Serialize};
 use std::fmt::Write as _;
 
 /// `Result` alias matching the real crate's signature shape.
@@ -30,17 +34,10 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
 
 /// Parse JSON text into any deserializable type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::msg(format!("trailing input at byte {}", p.pos)));
-    }
-    T::from_value(&v)
+    let mut r = Reader::new(s);
+    let value = T::deserialize(&mut r)?;
+    r.finish()?;
+    Ok(value)
 }
 
 /// Parse JSON bytes into any deserializable type.
@@ -139,225 +136,6 @@ fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(Error::msg(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_literal(&mut self, lit: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<Value> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'n') => {
-                if self.eat_literal("null") {
-                    Ok(Value::Null)
-                } else {
-                    Err(Error::msg(format!("bad literal at byte {}", self.pos)))
-                }
-            }
-            Some(b't') => {
-                if self.eat_literal("true") {
-                    Ok(Value::Bool(true))
-                } else {
-                    Err(Error::msg(format!("bad literal at byte {}", self.pos)))
-                }
-            }
-            Some(b'f') => {
-                if self.eat_literal("false") {
-                    Ok(Value::Bool(false))
-                } else {
-                    Err(Error::msg(format!("bad literal at byte {}", self.pos)))
-                }
-            }
-            Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(Error::msg(format!("bad array at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.parse_value()?;
-                    pairs.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(pairs));
-                        }
-                        _ => return Err(Error::msg(format!("bad object at byte {}", self.pos))),
-                    }
-                }
-            }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
-            other => Err(Error::msg(format!(
-                "unexpected input {other:?} at byte {}",
-                self.pos
-            ))),
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String> {
-        self.expect(b'"')?;
-        let mut s = String::new();
-        loop {
-            let b = self
-                .peek()
-                .ok_or_else(|| Error::msg("unterminated string"))?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(s),
-                b'\\' => {
-                    let e = self
-                        .peek()
-                        .ok_or_else(|| Error::msg("unterminated escape"))?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b'r' => s.push('\r'),
-                        b't' => s.push('\t'),
-                        b'b' => s.push('\u{08}'),
-                        b'f' => s.push('\u{0c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::msg("short \\u escape"))?;
-                            let hex =
-                                std::str::from_utf8(hex).map_err(|e| Error::msg(e.to_string()))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|e| Error::msg(e.to_string()))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            s.push(char::from_u32(cp).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(Error::msg(format!("bad escape `\\{}`", other as char)))
-                        }
-                    }
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let chunk = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| Error::msg("truncated utf-8"))?;
-                    s.push_str(std::str::from_utf8(chunk).map_err(|e| Error::msg(e.to_string()))?);
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut is_float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| Error::msg(e.to_string()))?;
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
-        } else {
-            text.parse::<i128>()
-                .map(Value::Int)
-                .map_err(|e| Error::msg(format!("bad number `{text}`: {e}")))
-        }
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,6 +166,141 @@ mod tests {
         assert_eq!(s, "null");
         let v: f64 = from_str(&s).unwrap();
         assert!(v.is_nan());
+    }
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    struct Sample {
+        count: u32,
+        ratio: f64,
+        name: String,
+        tags: Vec<Shape>,
+    }
+
+    #[derive(Debug, PartialEq, serde::Deserialize)]
+    enum Shape {
+        Dot,
+        Pair(u8, u8),
+        Boxed(i64),
+        Rect { w: u32, h: u32 },
+    }
+
+    const SAMPLE: &str = r#"{"count":3,"ratio":0.5,"name":"a","tags":["Dot",{"Pair":[1,2]},{"Boxed":-4},{"Rect":{"w":2,"h":1}}]}"#;
+
+    #[test]
+    fn derived_impls_stream_structs_and_every_enum_shape() {
+        let s: Sample = from_str(SAMPLE).unwrap();
+        assert_eq!(
+            s,
+            Sample {
+                count: 3,
+                ratio: 0.5,
+                name: "a".into(),
+                tags: vec![
+                    Shape::Dot,
+                    Shape::Pair(1, 2),
+                    Shape::Boxed(-4),
+                    Shape::Rect { w: 2, h: 1 }
+                ],
+            }
+        );
+        // Key order does not matter.
+        let s2: Sample = from_str(r#"{"tags":[],"name":"a","ratio":0.5,"count":3}"#).unwrap();
+        assert_eq!((s2.count, s2.tags.len()), (3, 0));
+        for bad in [
+            r#""Circle""#,
+            r#"{"Circle":1}"#,
+            r#"{"Boxed":1,"Dot":2}"#,
+            r#"{}"#,
+            "7",
+        ] {
+            assert!(from_str::<Shape>(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn missing_duplicate_and_unknown_fields() {
+        let err = from_str::<Sample>(r#"{"count":3,"ratio":0.5,"tags":[]}"#).unwrap_err();
+        assert!(err.to_string().contains("missing field `name`"), "{err}");
+        let dup = r#"{"count":3,"count":4,"ratio":0.5,"name":"a","tags":[]}"#;
+        assert!(from_str::<Sample>(dup).is_err());
+        // An unknown field is skipped, whatever its shape.
+        let extra =
+            r#"{"count":3,"x":{"y":[1,{"z":null}],"w":"\u00e9"},"ratio":0.5,"name":"a","tags":[]}"#;
+        assert_eq!(from_str::<Sample>(extra).unwrap().count, 3);
+        // ...but it must still be well-formed JSON.
+        assert!(
+            from_str::<Sample>(r#"{"x":[1,,2],"count":3,"ratio":0.5,"name":"a","tags":[]}"#)
+                .is_err()
+        );
+    }
+
+    #[test]
+    fn number_coercions_match_the_value_model() {
+        let s: Sample = from_str(r#"{"count":3.0,"ratio":null,"name":"a","tags":[]}"#).unwrap();
+        assert_eq!(s.count, 3, "an integral float reads as an integer");
+        assert!(s.ratio.is_nan(), "null reads as NaN");
+        let s: Sample = from_str(r#"{"count":3,"ratio":2,"name":"a","tags":[]}"#).unwrap();
+        assert_eq!(s.ratio, 2.0, "an integer reads as a float");
+        for bad in ["3.5", "-1", "4294967296", "\"3\"", "null"] {
+            let json = format!(r#"{{"count":{bad},"ratio":0,"name":"a","tags":[]}}"#);
+            assert!(from_str::<Sample>(&json).is_err(), "{bad}");
+        }
+        assert_eq!(from_str::<i64>("-0").unwrap(), 0);
+        assert_eq!(from_str::<i64>("-9223372036854775808").unwrap(), i64::MIN);
+        assert_eq!(from_str::<u64>("18446744073709551615").unwrap(), u64::MAX);
+        assert_eq!(from_str::<f64>("1e3").unwrap(), 1000.0);
+    }
+
+    #[test]
+    fn trailing_input_and_bad_syntax_are_errors() {
+        assert_eq!(from_str::<u8>(" 7 \n").unwrap(), 7);
+        for bad in [
+            "7 7",
+            "[1] x",
+            "[1,]",
+            "{\"a\":1,}",
+            "[1 2]",
+            "{\"a\" 1}",
+            "tru",
+            "\"ab",
+            "",
+            "-",
+        ] {
+            assert!(from_str::<Value>(bad).is_err(), "{bad:?}");
+        }
+        assert!(from_str::<Sample>(&format!("{SAMPLE},")).is_err());
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        let v: String = from_str(r#""\ud83d\ude00""#).unwrap();
+        assert_eq!(v, "\u{1F600}");
+        // Unpaired surrogates read as U+FFFD; what follows is kept.
+        let v: String = from_str(r#""a\ud83dz\ude00\ud83d\u0041""#).unwrap();
+        assert_eq!(v, "a\u{fffd}z\u{fffd}\u{fffd}A");
+        assert!(from_str::<String>(r#""\ud83d\u12""#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_overflowing_the_stack() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&deep(serde::MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&deep(serde::MAX_DEPTH + 1)).is_err());
+        // 200,000 unclosed `[` used to recurse until the thread's stack
+        // overflowed; on a 2 MiB stack they are now an error.
+        let opens = "[".repeat(200_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                (
+                    from_str::<Value>(&opens).is_err(),
+                    from_str::<Vec<Value>>(&opens).is_err(),
+                )
+            })
+            .unwrap()
+            .join()
+            .expect("the reader must not overflow a 2 MiB stack");
+        assert_eq!(result, (true, true));
     }
 
     #[test]
