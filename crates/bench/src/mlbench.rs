@@ -36,7 +36,7 @@ pub fn format_selection_dataset(corpus: &Corpus<f32>, device: &DeviceModel) -> D
     let mut y = Vec::new();
     for m in &corpus.matrices {
         let s = label_format_selection(&m.csr, &cfg, device);
-        x.push(s.features.to_vec());
+        x.push(s.features.to_array().to_vec());
         y.push(usize::from(s.use_cell));
     }
     let mut d = Dataset::new(x, y);
@@ -53,7 +53,7 @@ pub fn partition_dataset(corpus: &Corpus<f32>, device: &DeviceModel) -> (Dataset
     let mut group = Vec::new();
     for m in &corpus.matrices {
         for s in label_partitions(&m.csr, &cfg, device) {
-            x.push(s.features.to_vec());
+            x.push(s.features.to_array().to_vec());
             y.push(liteform_core::PartitionPredictor::class_of(s.best_p));
             group.push(m.id.clone());
         }

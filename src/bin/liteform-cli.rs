@@ -99,12 +99,12 @@ fn main() -> ExitCode {
         "info" => {
             let f = FormatFeatures::from_csr(&csr);
             println!("\nTable 2 features (format selection):");
-            for (name, v) in FormatFeatures::names().iter().zip(f.to_vec()) {
+            for (name, v) in FormatFeatures::names().iter().zip(f.to_array()) {
                 println!("  {name:<24} {v}");
             }
             let p = PartitionFeatures::from_csr(&csr, args.j);
             println!("\nTable 3 features (partition prediction, J={}):", args.j);
-            for (name, v) in PartitionFeatures::names().iter().zip(p.to_vec()) {
+            for (name, v) in PartitionFeatures::names().iter().zip(p.to_array()) {
                 println!("  {name:<28} {v}");
             }
         }
