@@ -547,11 +547,9 @@ mod tests {
         assert_eq!(plan.overhead, plan.profile.overhead());
         let total = plan.profile.total();
         assert!(total.wall_s >= 0.0);
-        // Feature extraction allocates the feature vectors at minimum.
-        assert!(
-            plan.profile.feature_extraction.alloc_calls >= 1,
-            "feature stage must show allocation activity"
-        );
+        // Feature extraction allocates nothing (held by
+        // `tests/feature_extraction.rs`); the counters show up in the
+        // CELL stages below.
         if plan.uses_cell() {
             // Materializing CELL allocates its grids.
             assert!(plan.profile.build.alloc_bytes > 0);

@@ -413,18 +413,26 @@ impl<T: AtomicScalar> PlanCache<T> {
 
     /// Load records highest-retention-score first until `budget` bytes
     /// are resident, so warming never triggers its own eviction churn.
-    /// Every record is strictly re-validated by [`PlanStore::get`];
+    /// Every record is strictly re-validated by [`PlanStore::load`];
     /// rejections count in `warm_rejected` and the record is deleted.
+    ///
+    /// [`PlanStore::warm_loads`] reads, checks and decodes a wave of
+    /// records at once on the pool; this loop settles and admits them
+    /// strictly in warm order, so the budget cut, the kill site, the
+    /// counters and the set of loaded records are those of a
+    /// one-at-a-time loop. A record past the cut costs at most a wasted
+    /// decode, never a use count or a deletion.
     fn warm_from_disk(&self, budget: usize) {
         let Some(store) = self.store() else { return };
         // Files the store already swept at open (unreadable header) are
         // rejections too — same contract: skipped, counted, not served.
         bump(&self.counters.warm_rejected, store.swept_corrupt() as u64);
+        let mut loads = store.warm_loads();
         let mut loaded_bytes = 0usize;
-        for ((fp, j), _) in store.warm_order() {
-            if loaded_bytes >= budget {
+        while loaded_bytes < budget {
+            let Some(((fp, j), loaded)) = loads.next() else {
                 break;
-            }
+            };
             #[cfg(feature = "chaos")]
             {
                 use lf_check::chaos::{decide, ChaosSite};
@@ -435,7 +443,7 @@ impl<T: AtomicScalar> PlanCache<T> {
                     break;
                 }
             }
-            match store.get(&fp, j) {
+            match store.settle(&fp, j, loaded) {
                 Ok(Some((plan, meta))) => {
                     let bytes = plan.format_bytes();
                     let slot = PlanSlot::new(plan, meta.cost_ns);

@@ -986,7 +986,14 @@ mod tests {
         let a: CsrMatrix<f64> =
             CsrMatrix::from_coo(&mixed_regions(1024, 1024, 400_000, 4, &mut rng));
         let b = DenseMatrix::random(1024, 128, &mut rng);
-        let err = e.serve(&a, &b).unwrap_err();
+        // Everything before the execute runs outside the deadline: the
+        // handle is validated and fingerprinted at registration, and
+        // `warm` composes and caches the broken plan (paying the
+        // one-time calibration and pool start), so the request goes
+        // straight from its cache hit to the panic and the quarantine.
+        let h = MatrixHandle::new(a).unwrap();
+        assert!(e.warm(&h, b.cols()).unwrap(), "the broken plan is cached");
+        let err = e.serve_handle(&h, &b).unwrap_err();
         assert!(matches!(err, LfError::DeadlineExceeded { .. }), "{err}");
         let s = e.stats();
         assert_eq!(s.failed, 1, "a fired deadline is failed, not degraded");

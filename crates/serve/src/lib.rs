@@ -87,5 +87,5 @@ pub use fingerprint::Fingerprint;
 pub use planner::{FixedCellPlanner, PinnedLiteForm, Planner, ResilientPlanner};
 pub use store::{
     is_stale_epoch, CostAware, LruBytes, Placement, PlacementPolicy, PlanStore, RecordMeta,
-    StoreConfig,
+    StoreConfig, WarmLoads,
 };

@@ -24,10 +24,23 @@
 //! Every write gets its own temp name, so concurrent writers (the
 //! demotion writer, a back-pressured request, a snapshot) never rename
 //! each other's temp files away.
-//! On top of that, every record carries its own CRC-32 and the plan
-//! blob inside carries another (`liteform_core::codec`), so even bytes
-//! torn by layers below the rename (bit rot, lying disks) are rejected,
-//! counted, and recomposed — never served.
+//! On top of that, every record byte sits under exactly one CRC-32: the
+//! fixed header carries its own, and the plan blob after it carries the
+//! codec's (`liteform_core::codec`). So even bytes torn by layers below
+//! the rename (bit rot, lying disks) are rejected, counted, and
+//! recomposed — never served — and no byte is checksummed twice on
+//! `put` or `get`.
+//!
+//! ## Record layout (store version 4)
+//!
+//! ```text
+//! "LFPR" (4) | version u16 | fingerprint 7×u64 | j u64 | cost_ns u64
+//!   | blob_len u64 | header crc32 u32 | blob (codec record, own CRC)
+//! ```
+//!
+//! The header is 90 bytes. `open` reads only that much of each file,
+//! checks it and takes the record's size from file metadata;
+//! [`PlanStore::load`] reads the whole record and runs every check.
 //!
 //! The manifest is advisory: it persists placement *metadata*, not
 //! existence. Ground truth is the record files themselves, so a crash
@@ -52,12 +65,13 @@
 use crate::fingerprint::Fingerprint;
 use crate::lock;
 use lf_sim::atomicf::AtomicScalar;
+use lf_sim::parallel::{default_workers, parallel_map};
 use liteform_core::codec::{self, ByteReader, ByteWriter, CodecError};
 use liteform_core::{LfError, LfResult, PreparedPlan};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,8 +91,16 @@ const MANIFEST_MAGIC: [u8; 4] = *b"LFPM";
 /// deleted rather than migrated. v3 redefines the fingerprint's three
 /// array hashes (independent lanes folded with the length), so a v2
 /// key names no matrix the engine can look up any more; v2 records are
-/// refused and deleted the same way.
-const STORE_VERSION: u16 = 3;
+/// refused and deleted the same way. v4 moves the record CRC from a
+/// trailer over the whole record to the fixed header alone: the plan
+/// blob keeps its own codec CRC, so each byte is checked once. v3
+/// records are refused and deleted like v2.
+const STORE_VERSION: u16 = 4;
+/// Header bytes the header CRC covers: magic, version, the seven
+/// fingerprint words, `j`, `cost_ns` and `blob_len`.
+const HEADER_BODY: usize = 4 + 2 + 7 * 8 + 3 * 8;
+/// Bytes before a record's plan blob: the header and its CRC.
+const RECORD_HEADER: usize = HEADER_BODY + 4;
 /// The manifest's file name inside the store directory.
 const MANIFEST_NAME: &str = "manifest.lfm";
 /// Rejection label for records from a retired mutation epoch; the
@@ -284,10 +306,11 @@ impl<T: AtomicScalar> PlanStore<T> {
     /// whatever placement metadata the manifest preserved.
     ///
     /// Indexing reads only each record's fixed-size header (magic,
-    /// version, key); full validation — both CRCs, structural bounds,
-    /// the fingerprint re-check — runs when a record is actually loaded,
-    /// so a corrupt record costs its warm/promotion attempt, never the
-    /// open.
+    /// version, header CRC, and a blob length that agrees with the file
+    /// size) and takes the record's size from file metadata; the blob's
+    /// CRC, structural bounds and the fingerprint re-check run when a
+    /// record is actually loaded, so a corrupt blob costs its
+    /// warm/promotion attempt, never the open.
     pub fn open(config: StoreConfig) -> LfResult<Self> {
         fs::create_dir_all(&config.dir).map_err(|e| io_err("create dir", e))?;
         let mut state = StoreState {
@@ -311,8 +334,10 @@ impl<T: AtomicScalar> PlanStore<T> {
             if !name.ends_with(".lfp") {
                 continue;
             }
-            let Ok(bytes) = fs::read(&path) else { continue };
-            let Ok((fp, j)) = record_key(&bytes) else {
+            let Ok(header) = read_header(&path) else {
+                continue;
+            };
+            let Some((fp, j, record_bytes)) = header else {
                 // Unreadable header under a final name: not a state an
                 // atomic writer produces, so treat it as corruption and
                 // remove it (counted, so warming can report it) rather
@@ -322,7 +347,7 @@ impl<T: AtomicScalar> PlanStore<T> {
                 continue;
             };
             let mut meta = manifest_meta.get(&(fp, j)).copied().unwrap_or_default();
-            meta.bytes = bytes.len() as u64;
+            meta.bytes = record_bytes;
             state.tick = state.tick.max(meta.last_used);
             state.bytes += meta.bytes;
             state.index.insert((fp, j), IndexEntry { meta });
@@ -397,15 +422,16 @@ impl<T: AtomicScalar> PlanStore<T> {
             return Err(LfError::PlanDecode(CodecError::BadField(STALE_EPOCH)));
         }
         let blob = codec::encode_plan(plan)?;
-        let mut record = ByteWriter::with_capacity(blob.len() + 96);
+        let mut record = ByteWriter::with_capacity(RECORD_HEADER + blob.len());
         record.bytes(&RECORD_MAGIC);
         record.u16(STORE_VERSION);
         write_fingerprint(&mut record, fp);
         record.u64(j as u64);
         record.u64(cost_ns);
         record.u64(blob.len() as u64);
-        record.bytes(&blob);
+        // The header CRC covers the header only; the blob carries its own.
         record.crc_trailer();
+        record.bytes(&blob);
         let record = record.into_bytes();
         if self.budget > 0 && record.len() > self.budget {
             // Evicting every other record would still not make room.
@@ -483,35 +509,54 @@ impl<T: AtomicScalar> PlanStore<T> {
         lock(&self.state).index.contains_key(&(*fp, j))
     }
 
-    /// Load a record, fully validated: store framing CRC, key equality,
-    /// plan-blob decode (its own CRC + structural bounds), and a
-    /// **fingerprint re-check** — the decoded plan's operand is
-    /// reconstructed and re-fingerprinted, proving the record still
-    /// describes the matrix it claims. Any failure deletes the record
-    /// and returns the typed rejection; `Ok(None)` is a clean miss.
+    /// Load a record, fully validated, and do the store's bookkeeping
+    /// for it: [`load`](Self::load), then [`settle`](Self::settle). Any
+    /// failure deletes the record and returns the typed rejection;
+    /// `Ok(None)` is a clean miss.
     pub fn get(
         &self,
         fp: &Fingerprint,
         j: usize,
     ) -> LfResult<Option<(PreparedPlan<T>, RecordMeta)>> {
-        {
-            let st = lock(&self.state);
-            if !st.index.contains_key(&(*fp, j)) {
-                return Ok(None);
-            }
+        self.settle(fp, j, self.load(fp, j))
+    }
+
+    /// Read and validate the record for `(fp, j)` with no side effect on
+    /// the store: header CRC, key and epoch equality, plan-blob decode
+    /// (its own CRC + structural bounds), and a **fingerprint re-check**
+    /// — the decoded plan's operand is reconstructed and
+    /// re-fingerprinted, proving the record still describes the matrix
+    /// it claims. `Ok(None)` means no record is indexed or its file
+    /// could not be read. Loads of distinct keys may run concurrently;
+    /// hand each result to [`settle`](Self::settle).
+    pub fn load(&self, fp: &Fingerprint, j: usize) -> LfResult<Option<PreparedPlan<T>>> {
+        if !self.holds(fp, j) {
+            return Ok(None);
         }
-        let path = self.record_path(fp, j);
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => {
-                // Indexed but unreadable (raced removal, IO error):
-                // drop the index entry and treat as a miss.
-                self.forget(fp, j);
-                return Ok(None);
-            }
+        // Indexed but unreadable (raced removal, IO error) is a miss;
+        // `settle` drops the index entry.
+        let Ok(bytes) = fs::read(self.record_path(fp, j)) else {
+            return Ok(None);
         };
-        match self.validate_record(&bytes, fp, j) {
-            Ok(plan) => {
+        self.validate_record(&bytes, fp, j).map(Some)
+    }
+
+    /// The bookkeeping half of [`get`](Self::get) for a [`load`](Self::load)
+    /// result: a valid plan counts one more use and takes a fresh recency
+    /// tick; a miss drops any index entry for the key; a rejection
+    /// deletes the record. Call it in the order the loads should count.
+    pub fn settle(
+        &self,
+        fp: &Fingerprint,
+        j: usize,
+        loaded: LfResult<Option<PreparedPlan<T>>>,
+    ) -> LfResult<Option<(PreparedPlan<T>, RecordMeta)>> {
+        match loaded {
+            Ok(None) => {
+                self.forget(fp, j);
+                Ok(None)
+            }
+            Ok(Some(plan)) => {
                 let mut st = lock(&self.state);
                 st.tick += 1;
                 let tick = st.tick;
@@ -528,7 +573,7 @@ impl<T: AtomicScalar> PlanStore<T> {
             Err(e) => {
                 // Rejection is terminal for the record: corrupted bytes
                 // are never re-tried, never served.
-                let _ = fs::remove_file(&path);
+                let _ = fs::remove_file(self.record_path(fp, j));
                 self.forget(fp, j);
                 Err(e)
             }
@@ -628,6 +673,26 @@ impl<T: AtomicScalar> PlanStore<T> {
         keys
     }
 
+    /// Every key in [`warm_order`](Self::warm_order) with its
+    /// [`load`](Self::load) result, in that order. Loads run a wave of
+    /// one record per core at a time in one pool region; the caller
+    /// [`settle`](Self::settle)s each result in order. Stopping early
+    /// wastes at most the rest of a wave's decodes and leaves the store
+    /// untouched.
+    pub fn warm_loads(&self) -> WarmLoads<'_, T> {
+        WarmLoads {
+            store: self,
+            order: self
+                .warm_order()
+                .into_iter()
+                .map(|(key, _)| key)
+                .collect::<Vec<_>>()
+                .into_iter(),
+            wave: Vec::new().into_iter(),
+            width: default_workers(),
+        }
+    }
+
     /// Persist the manifest (placement metadata for every indexed
     /// record) atomically.
     pub fn write_manifest(&self) -> LfResult<()> {
@@ -655,42 +720,42 @@ impl<T: AtomicScalar> PlanStore<T> {
     }
 }
 
-/// Parse a record's framing: magic, version, key, blob, trailing CRC
-/// over everything before it.
-fn parse_record(bytes: &[u8]) -> Result<(Fingerprint, usize, &[u8]), LfError> {
-    let mut r = ByteReader::new(bytes);
-    if r.bytes(4).map_err(LfError::PlanDecode)? != RECORD_MAGIC {
-        return Err(LfError::PlanDecode(CodecError::BadMagic));
-    }
-    let version = r.u16().map_err(LfError::PlanDecode)?;
-    if version != STORE_VERSION {
-        return Err(LfError::PlanDecode(CodecError::UnsupportedVersion(version)));
-    }
-    let fp = read_fingerprint(&mut r).map_err(LfError::PlanDecode)?;
-    let j = r
-        .len(usize::MAX >> 8, "record j")
-        .map_err(LfError::PlanDecode)?;
-    let _cost_ns = r.u64().map_err(LfError::PlanDecode)?;
-    let blob_len = r
-        .len(r.remaining().saturating_sub(4), "record blob len")
-        .map_err(LfError::PlanDecode)?;
-    let crc_at = bytes.len() - r.remaining() + blob_len;
-    let blob = r.bytes(blob_len).map_err(LfError::PlanDecode)?;
-    let stored_crc = r.u32().map_err(LfError::PlanDecode)?;
-    if r.remaining() != 0 {
-        return Err(LfError::PlanDecode(CodecError::BadField(
-            "record trailing bytes",
-        )));
-    }
-    if codec::crc32(&bytes[..crc_at]) != stored_crc {
-        return Err(LfError::PlanDecode(CodecError::ChecksumMismatch));
-    }
-    Ok((fp, j, blob))
+/// A record key and its [`PlanStore::load`] result.
+pub type WarmLoad<T> = ((Fingerprint, usize), LfResult<Option<PreparedPlan<T>>>);
+
+/// The iterator [`PlanStore::warm_loads`] returns.
+pub struct WarmLoads<'a, T: AtomicScalar> {
+    store: &'a PlanStore<T>,
+    /// Keys not yet loaded, in warm order.
+    order: std::vec::IntoIter<(Fingerprint, usize)>,
+    /// The loaded wave not yet handed out.
+    wave: std::vec::IntoIter<WarmLoad<T>>,
+    /// Records per wave: one per core.
+    width: usize,
 }
 
-/// Read just the key from a record's header (used to index the
-/// directory on open; no CRC work).
-fn record_key(bytes: &[u8]) -> Result<(Fingerprint, usize), CodecError> {
+impl<T: AtomicScalar> Iterator for WarmLoads<'_, T> {
+    type Item = WarmLoad<T>;
+
+    fn next(&mut self) -> Option<WarmLoad<T>> {
+        if let Some(item) = self.wave.next() {
+            return Some(item);
+        }
+        let keys: Vec<(Fingerprint, usize)> = self.order.by_ref().take(self.width).collect();
+        let store = self.store;
+        let loads = parallel_map(keys.len(), self.width, |i| {
+            let (fp, j) = &keys[i];
+            store.load(fp, *j)
+        });
+        self.wave = keys.into_iter().zip(loads).collect::<Vec<_>>().into_iter();
+        self.wave.next()
+    }
+}
+
+/// Parse and check a record header — magic, version, then the header
+/// CRC before any field is trusted — returning the key and the blob
+/// length it promises. `bytes` may run past the header.
+fn parse_header(bytes: &[u8]) -> Result<(Fingerprint, usize, u64), CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.bytes(4)? != RECORD_MAGIC {
         return Err(CodecError::BadMagic);
@@ -699,9 +764,46 @@ fn record_key(bytes: &[u8]) -> Result<(Fingerprint, usize), CodecError> {
     if version != STORE_VERSION {
         return Err(CodecError::UnsupportedVersion(version));
     }
-    let fp = read_fingerprint(&mut r)?;
-    let j = r.len(usize::MAX >> 8, "record j")?;
-    Ok((fp, j))
+    let mut fields = ByteReader::new(r.bytes(HEADER_BODY - 6)?);
+    let stored_crc = r.u32()?;
+    if codec::crc32(&bytes[..HEADER_BODY]) != stored_crc {
+        return Err(CodecError::ChecksumMismatch);
+    }
+    let fp = read_fingerprint(&mut fields)?;
+    let j = fields.len(usize::MAX >> 8, "record j")?;
+    let _cost_ns = fields.u64()?;
+    let blob_len = fields.u64()?;
+    Ok((fp, j, blob_len))
+}
+
+/// Parse a whole record: the checked header, then a blob of exactly the
+/// promised length (the blob's own CRC is the codec's to check).
+fn parse_record(bytes: &[u8]) -> Result<(Fingerprint, usize, &[u8]), LfError> {
+    let (fp, j, blob_len) = parse_header(bytes).map_err(LfError::PlanDecode)?;
+    let blob = bytes.get(RECORD_HEADER..).unwrap_or_default();
+    if blob.len() as u64 != blob_len {
+        return Err(LfError::PlanDecode(CodecError::BadField("record length")));
+    }
+    Ok((fp, j, blob))
+}
+
+/// Read just a record file's header, for indexing on open. `Err` is an
+/// I/O failure (the file is skipped); `Ok(None)` is a header that fails
+/// its checks or disagrees with the file's size (the file is corrupt);
+/// otherwise the key and the record's size on disk.
+fn read_header(path: &Path) -> std::io::Result<Option<(Fingerprint, usize, u64)>> {
+    let mut file = fs::File::open(path)?;
+    let size = file.metadata()?.len();
+    let mut header = [0u8; RECORD_HEADER];
+    match file.read_exact(&mut header) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    Ok(parse_header(&header)
+        .ok()
+        .filter(|&(_, _, blob_len)| size.checked_sub(RECORD_HEADER as u64) == Some(blob_len))
+        .map(|(fp, j, _)| (fp, j, size)))
 }
 
 /// Read the manifest's metadata map; any framing or checksum problem

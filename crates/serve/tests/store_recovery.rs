@@ -36,6 +36,10 @@ fn matrix(seed: u64) -> CsrMatrix<f64> {
     CsrMatrix::from_coo(&mixed_regions(128, 128, 2500, 4, &mut rng))
 }
 
+/// Bytes of a v4 record header covered by its CRC: magic, version, the
+/// seven fingerprint words, `j`, `cost_ns` and the blob length.
+const HEADER_BODY: usize = 86;
+
 /// A fresh scratch directory under the target-adjacent temp root.
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lf-recovery-{}-{name}", std::process::id()));
@@ -456,24 +460,24 @@ fn records_from_an_older_store_version_are_refused_and_deleted() {
         .map(|e| e.path())
         .find(|p| p.extension().is_some_and(|x| x == "lfp"))
         .expect("snapshot wrote a record");
-    // Rewrite the version field (after the 4-byte magic) to 2 and
-    // re-seal the trailing CRC, so the version is the record's only
-    // defect: a v2 record keyed under the previous fingerprint hash.
+    // Rewrite the version field (after the 4-byte magic) to 3 and
+    // re-seal the header CRC (over the 86 header bytes before it), so
+    // the version is the record's only defect: a v3 record, whose CRC
+    // covered the whole record.
     let mut bytes = fs::read(&record).unwrap();
     assert_eq!(&bytes[..4], b"LFPR");
-    assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 3);
-    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
-    let body = bytes.len() - 4;
-    let crc = liteform_core::codec::crc32(&bytes[..body]);
-    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 4);
+    bytes[4..6].copy_from_slice(&3u16.to_le_bytes());
+    let crc = liteform_core::codec::crc32(&bytes[..HEADER_BODY]);
+    bytes[HEADER_BODY..HEADER_BODY + 4].copy_from_slice(&crc.to_le_bytes());
     fs::write(&record, &bytes).unwrap();
 
     let reader = engine(store_config(&dir));
     let s = reader.stats();
-    assert_eq!(s.warm_loaded, 0, "a v2 record must not warm: {s:?}");
+    assert_eq!(s.warm_loaded, 0, "a v3 record must not warm: {s:?}");
     assert!(!record.exists(), "the refused record is deleted");
     let out = reader.serve(&a, &b).unwrap();
-    assert!(!out.hit, "nothing may be served from the v2 record");
+    assert!(!out.hit, "nothing may be served from the v3 record");
     let s = reader.stats();
     assert_eq!(s.disk_hits, 0, "{s:?}");
     let bits = |m: &DenseMatrix<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -685,6 +689,304 @@ fn a_record_larger_than_the_disk_budget_is_refused_not_wiped_in() {
     assert_eq!(s.store_bytes, 0, "{s:?}");
     drop(e);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// The record file a store writes for `(fp, j)`.
+fn record_path(dir: &Path, fp: &Fingerprint, j: usize) -> PathBuf {
+    dir.join(format!("p{:016x}-{j}.lfp", fp.digest()))
+}
+
+/// A store over `dir` with no disk budget and cost-aware placement.
+fn open_store(dir: &Path) -> PlanStore<f64> {
+    PlanStore::open(StoreConfig {
+        dir: dir.to_path_buf(),
+        disk_budget_bytes: 0,
+        placement: Placement::CostAware,
+    })
+    .unwrap()
+}
+
+#[test]
+fn a_v4_record_keeps_its_exact_layout_and_bytes() {
+    let _g = locked();
+    let dir = scratch("golden-v4");
+    let m = CsrMatrix::<f64>::from_raw(
+        4,
+        5,
+        vec![0, 2, 3, 3, 5],
+        vec![0, 3, 1, 2, 4],
+        vec![1.0, -2.0, 0.5, 4.0, 8.0],
+    )
+    .unwrap();
+    let fp = Fingerprint::of_csr(&m);
+    let plan = PreparedPlan::from_csr(m, PreprocessProfile::default()).with_tuned_j(8);
+    let store = open_store(&dir);
+    store.put(&fp, 8, &plan, 0x0123_4567, 0).unwrap();
+    let bytes = fs::read(record_path(&dir, &fp, 8)).unwrap();
+
+    // magic | version | fingerprint 7×u64 | j | cost_ns | blob_len |
+    // header CRC over the 86 bytes before it | codec blob.
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    assert_eq!(&bytes[..4], b"LFPR");
+    assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 4);
+    let key = [
+        fp.rows as u64,
+        fp.cols as u64,
+        fp.nnz as u64,
+        fp.row_structure,
+        fp.col_structure,
+        fp.values,
+        fp.epoch,
+        8,
+        0x0123_4567,
+    ];
+    for (k, want) in key.into_iter().enumerate() {
+        assert_eq!(word(6 + 8 * k), want, "header word {k}");
+    }
+    let blob = liteform_core::codec::encode_plan(&plan).unwrap();
+    assert_eq!(word(78), blob.len() as u64, "blob length");
+    let header_crc = u32::from_le_bytes(bytes[HEADER_BODY..HEADER_BODY + 4].try_into().unwrap());
+    assert_eq!(
+        header_crc,
+        liteform_core::codec::crc32(&bytes[..HEADER_BODY]),
+        "the header CRC covers the header only"
+    );
+    assert_eq!(
+        &bytes[HEADER_BODY + 4..],
+        &blob[..],
+        "the blob follows as encoded"
+    );
+    // Pinned: the header bytes (fingerprint hashes included) and the
+    // record length must never move. The tile inside the blob follows
+    // host calibration, so the blob is compared to its encoding above.
+    assert_eq!((bytes.len(), header_crc), (263, 0x11d3_cb53));
+    let (loaded, meta) = store.get(&fp, 8).unwrap().expect("the record loads");
+    assert_eq!(loaded.reconstruct_csr(), plan.reconstruct_csr());
+    assert_eq!((meta.bytes, meta.cost_ns, meta.uses), (263, 0x0123_4567, 1));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn flipped_v4_header_and_blob_bytes_are_rejected_counted_and_deleted() {
+    let _g = locked();
+    let mut rng = Pcg32::seed_from_u64(0xF11B);
+    let b = DenseMatrix::random(128, 8, &mut rng);
+    let a = matrix(32);
+    // Offsets into the record: a fingerprint hash, `j`, the blob
+    // length, the header CRC itself, the blob's first byte, mid-blob,
+    // and the blob's own CRC.
+    let offsets = |len: usize| {
+        [
+            30,
+            64,
+            80,
+            HEADER_BODY + 1,
+            HEADER_BODY + 4,
+            (HEADER_BODY + len) / 2,
+            len - 2,
+        ]
+    };
+    for case in 0..7 {
+        let dir = scratch(&format!("flip-v4-{case}"));
+        {
+            let writer = engine(store_config(&dir));
+            writer.serve(&a, &b).unwrap();
+            assert_eq!(writer.snapshot().unwrap(), 1);
+        }
+        let record = record_path(&dir, &Fingerprint::of_csr(&a), 8);
+        let mut bytes = fs::read(&record).unwrap();
+        let at = offsets(bytes.len())[case];
+        bytes[at] ^= 0x08;
+        fs::write(&record, &bytes).unwrap();
+
+        let reader = engine(store_config(&dir));
+        let s = reader.stats();
+        assert_eq!(
+            s.warm_loaded, 0,
+            "byte {at}: a flipped record warmed: {s:?}"
+        );
+        assert_eq!(s.warm_rejected, 1, "byte {at}: not counted: {s:?}");
+        assert!(!record.exists(), "byte {at}: the record must be deleted");
+        let out = reader.serve(&a, &b).unwrap();
+        assert!(!out.hit, "byte {at}: nothing cached to hit");
+        assert_reference(&out.result, &a, &b, &format!("byte {at}"));
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Copy every file of `from` into a fresh directory `to`.
+fn copy_dir(from: &Path, to: &Path) {
+    let _ = fs::remove_dir_all(to);
+    fs::create_dir_all(to).unwrap();
+    for entry in fs::read_dir(from).unwrap().flatten() {
+        fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+    }
+}
+
+/// The record files in `dir`, sorted.
+fn record_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".lfp"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// What a warm left behind at the store level: the keys settled as
+/// loaded, in order; the rejections; every record's metadata in warm
+/// order (the recency ticks record the settle order); the files.
+type WarmTrace = (
+    Vec<Fingerprint>,
+    usize,
+    Vec<((Fingerprint, usize), lf_serve::RecordMeta)>,
+    Vec<String>,
+);
+
+#[test]
+fn wave_parallel_warm_matches_one_at_a_time_loading() {
+    let _g = locked();
+    let dir = scratch("warm-waves");
+    let waves = lf_sim::parallel::default_workers();
+    // Records of distinct sizes and costs, so the warm order is fixed.
+    let n = 3 * waves + 2;
+    let mats: Vec<CsrMatrix<f64>> = (0..n)
+        .map(|k| {
+            let mut rng = Pcg32::seed_from_u64(80 + k as u64);
+            CsrMatrix::from_coo(&mixed_regions(128, 128, 1500 + 150 * k, 4, &mut rng))
+        })
+        .collect();
+    let plans: Vec<PreparedPlan<f64>> = mats
+        .iter()
+        .map(|m| Planner::<f64>::prepare(&FixedCellPlanner::tuned(4), m, 8).unwrap())
+        .collect();
+    let fps: Vec<Fingerprint> = mats.iter().map(Fingerprint::of_csr).collect();
+    {
+        let store = open_store(&dir);
+        for (k, (fp, plan)) in fps.iter().zip(&plans).enumerate() {
+            assert!(plan.uses_cell());
+            store
+                .put(fp, 8, plan, (n - k) as u64 * 1_000_000, 0)
+                .unwrap();
+        }
+    }
+    // Matrix indices in the order a restart warms them.
+    let warm_order = open_store(&dir).warm_order();
+    let order: Vec<usize> = warm_order
+        .iter()
+        .map(|((fp, _), _)| fps.iter().position(|f| f == fp).unwrap())
+        .collect();
+    let sizes: std::collections::BTreeSet<u64> =
+        warm_order.iter().map(|(_, meta)| meta.bytes).collect();
+    assert_eq!(sizes.len(), n, "distinct record sizes");
+    // The record at warm position 1 is corrupt (mid-wave, before the
+    // cut). The budget holds the valid plans at positions 0..=2·waves,
+    // so the cut falls right after position 2·waves (the first of its
+    // wave); position 2·waves + 1, corrupt too, shares that wave past
+    // the cut: it is decoded and refused, never settled.
+    let (bad_early, bad_late) = (order[1], order[2 * waves + 1]);
+    for k in [bad_early, bad_late] {
+        let path = record_path(&dir, &fps[k], 8);
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = (HEADER_BODY + bytes.len()) / 2;
+        bytes[mid] ^= 0x40;
+        fs::write(&path, &bytes).unwrap();
+    }
+    let admitted: Vec<usize> = order[..=2 * waves]
+        .iter()
+        .copied()
+        .filter(|&k| k != bad_early)
+        .collect();
+    let budget: usize = admitted.iter().map(|&k| plans[k].format_bytes()).sum();
+
+    // One at a time: `get` in warm order until the budget is loaded.
+    let one_at_a_time = |dir: &Path| -> WarmTrace {
+        let store = open_store(dir);
+        let (mut loaded, mut rejected, mut bytes) = (Vec::new(), 0, 0);
+        for ((fp, j), _) in store.warm_order() {
+            if bytes >= budget {
+                break;
+            }
+            match store.get(&fp, j) {
+                Ok(Some((plan, _))) => {
+                    loaded.push(fp);
+                    bytes += plan.format_bytes();
+                }
+                Ok(None) => {}
+                Err(_) => rejected += 1,
+            }
+        }
+        (loaded, rejected, store.warm_order(), record_files(dir))
+    };
+    // In waves: `warm_loads`, settled in order, as the engine warms.
+    let in_waves = |dir: &Path| -> WarmTrace {
+        let store = open_store(dir);
+        let (mut loaded, mut rejected, mut bytes) = (Vec::new(), 0, 0);
+        let mut loads = store.warm_loads();
+        while bytes < budget {
+            let Some(((fp, j), load)) = loads.next() else {
+                break;
+            };
+            match store.settle(&fp, j, load) {
+                Ok(Some((plan, _))) => {
+                    loaded.push(fp);
+                    bytes += plan.format_bytes();
+                }
+                Ok(None) => {}
+                Err(_) => rejected += 1,
+            }
+        }
+        (loaded, rejected, store.warm_order(), record_files(dir))
+    };
+    let (seq_dir, wave_dir, engine_dir) = (
+        scratch("warm-waves-seq"),
+        scratch("warm-waves-par"),
+        scratch("warm-waves-engine"),
+    );
+    for d in [&seq_dir, &wave_dir, &engine_dir] {
+        copy_dir(&dir, d);
+    }
+    let want = one_at_a_time(&seq_dir);
+    let got = in_waves(&wave_dir);
+    let admitted_fps: Vec<Fingerprint> = admitted.iter().map(|&k| fps[k]).collect();
+    assert_eq!(want.0, admitted_fps, "the reference loads up to the cut");
+    assert_eq!(want.1, 1, "the reference rejects the early corrupt record");
+    assert_eq!(got.0, want.0, "same records admitted, in the same order");
+    assert_eq!(got.1, want.1, "same rejections");
+    assert_eq!(got.2, want.2, "same metadata: uses and recency ticks");
+    assert_eq!(got.3, want.3, "same files left on disk");
+    let late = record_path(&wave_dir, &fps[bad_late], 8);
+    assert!(
+        late.exists(),
+        "a corrupt record past the cut is not deleted"
+    );
+    assert!(!record_path(&wave_dir, &fps[bad_early], 8).exists());
+
+    // The engine's warm gives the same counts and RAM contents.
+    let e = engine(ServeConfig {
+        shards: 1,
+        byte_budget: budget,
+        ..store_config(&engine_dir)
+    });
+    let s = e.stats();
+    assert_eq!(s.warm_loaded as usize, want.0.len(), "{s:?}");
+    assert_eq!(s.warm_rejected as usize, want.1, "{s:?}");
+    assert_eq!(s.cached_bytes, budget, "{s:?}");
+    assert_eq!(record_files(&engine_dir), want.3, "same files left on disk");
+    let mut rng = Pcg32::seed_from_u64(0x3A4E);
+    let b = DenseMatrix::random(128, 8, &mut rng);
+    for &k in &admitted {
+        let out = e.serve(&mats[k], &b).unwrap();
+        assert!(out.hit, "record {k} was warmed into RAM");
+        assert_reference(&out.result, &mats[k], &b, &format!("warmed record {k}"));
+    }
+    assert_eq!(e.stats().disk_hits, 0, "every warmed plan is a RAM hit");
+    drop(e);
+    for d in [&dir, &seq_dir, &wave_dir, &engine_dir] {
+        let _ = fs::remove_dir_all(d);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -27,9 +27,20 @@ pub struct RowStats {
 }
 
 impl RowStats {
-    /// Compute from a slice of per-row counts (empty slice ⇒ all zeros).
-    pub fn from_lengths(lengths: &[usize]) -> Self {
-        if lengths.is_empty() {
+    /// Compute from per-row counts (none ⇒ all zeros) in two passes over
+    /// a cloneable iterator, with no allocation: count, sum, min and max
+    /// first, then the squared deviations, summed in row order.
+    pub fn from_lengths<I>(lengths: I) -> Self
+    where
+        I: IntoIterator<Item = usize>,
+        I::IntoIter: Clone,
+    {
+        let lengths = lengths.into_iter();
+        let (count, sum, min, max) = lengths.clone().fold(
+            (0usize, 0usize, usize::MAX, 0usize),
+            |(count, sum, min, max), l| (count + 1, sum + l, min.min(l), max.max(l)),
+        );
+        if count == 0 {
             return RowStats {
                 avg: 0.0,
                 min: 0.0,
@@ -37,14 +48,10 @@ impl RowStats {
                 std: 0.0,
             };
         }
-        let n = lengths.len() as f64;
-        let sum: usize = lengths.iter().sum();
+        let n = count as f64;
         let avg = sum as f64 / n;
-        let min = *lengths.iter().min().expect("non-empty") as f64;
-        let max = *lengths.iter().max().expect("non-empty") as f64;
         let var = lengths
-            .iter()
-            .map(|&l| {
+            .map(|l| {
                 let d = l as f64 - avg;
                 d * d
             })
@@ -52,10 +59,16 @@ impl RowStats {
             / n;
         RowStats {
             avg,
-            min,
-            max,
+            min: min as f64,
+            max: max as f64,
             std: var.sqrt(),
         }
+    }
+
+    /// The statistics of a CSR matrix's row lengths, read straight from
+    /// `row_ptr`.
+    fn of_rows<T: Scalar>(csr: &CsrMatrix<T>) -> Self {
+        Self::from_lengths(csr.row_ptr().windows(2).map(|w| w[1] - w[0]))
     }
 
     /// Scale every statistic by a constant (turns counts into densities).
@@ -89,10 +102,10 @@ pub struct FormatFeatures {
 }
 
 impl FormatFeatures {
-    /// Extract from a CSR matrix in a single O(rows) pass over `row_ptr`.
+    /// Extract from a CSR matrix in O(rows) passes over `row_ptr`, with
+    /// no allocation.
     pub fn from_csr<T: Scalar>(csr: &CsrMatrix<T>) -> Self {
-        let lengths = csr.row_lengths();
-        let stats = RowStats::from_lengths(&lengths);
+        let stats = RowStats::of_rows(csr);
         FormatFeatures {
             rows: csr.rows() as f64,
             cols: csr.cols() as f64,
@@ -159,10 +172,10 @@ pub struct PartitionFeatures {
 }
 
 impl PartitionFeatures {
-    /// Extract from a CSR matrix plus the dense-operand column count `j`.
+    /// Extract from a CSR matrix plus the dense-operand column count `j`,
+    /// with no allocation.
     pub fn from_csr<T: Scalar>(csr: &CsrMatrix<T>, j: usize) -> Self {
-        let lengths = csr.row_lengths();
-        let stats = RowStats::from_lengths(&lengths);
+        let stats = RowStats::of_rows(csr);
         let inv_cols = if csr.cols() == 0 {
             0.0
         } else {
@@ -235,7 +248,7 @@ mod tests {
 
     #[test]
     fn row_stats_basic() {
-        let s = RowStats::from_lengths(&[2, 0, 1, 3]);
+        let s = RowStats::from_lengths([2, 0, 1, 3]);
         assert_eq!(s.avg, 1.5);
         assert_eq!(s.min, 0.0);
         assert_eq!(s.max, 3.0);
@@ -245,7 +258,7 @@ mod tests {
 
     #[test]
     fn row_stats_empty() {
-        let s = RowStats::from_lengths(&[]);
+        let s = RowStats::from_lengths([]);
         assert_eq!(s.avg, 0.0);
         assert_eq!(s.std, 0.0);
     }
@@ -273,7 +286,7 @@ mod tests {
 
     #[test]
     fn scaled_stats() {
-        let s = RowStats::from_lengths(&[2, 4]).scaled(0.5);
+        let s = RowStats::from_lengths([2, 4]).scaled(0.5);
         assert_eq!(s.avg, 1.5);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 2.0);

@@ -22,9 +22,12 @@
 #             decoder fuzz (2000 mutations of the checked-in bundle:
 #             no panic, every accepted bundle validated) and the
 #             training-corpus golden test of the flat forests, the
-#             store crash-recovery suite, and the incremental-vs-rebuild
-#             mutation suite (migrated plans bitwise-equal to fresh
-#             composes), all in release mode;
+#             store crash-recovery suite (with the wave-parallel warm
+#             equivalence test), the store record fuzz (2000 mutations
+#             of whole v4 records through PlanStore::load: no panic,
+#             every accepted plan re-fingerprints to its key), and the
+#             incremental-vs-rebuild mutation suite (migrated plans
+#             bitwise-equal to fresh composes), all in release mode;
 #   --check   appends the verification tier (lf-check): the model
 #             checker's self-tests, the lint rule fixtures and the
 #             seeded-bug rediscovery suite (lock-order inversion in
@@ -109,8 +112,10 @@ if [[ "$RUN_STRESS" == "1" ]]; then
   echo "==> model-bundle decoder fuzz + flat-forest golden tests (release)"
   cargo test --release -p liteform-core --test bundle_fuzz -q
   cargo test --release -p liteform-core --test model_bundle -q
-  echo "==> store crash-recovery suite (release)"
+  echo "==> store crash-recovery suite incl. wave-parallel warm equivalence (release)"
   cargo test --release -p lf-serve --test store_recovery -q
+  echo "==> store record fuzz: 2000 mutations of v4 records through PlanStore::load (release)"
+  cargo test --release -p lf-serve --test store_fuzz -q
   echo "==> incremental-vs-rebuild mutation suite (release)"
   cargo test --release -p lf-serve --test updates -q
   cargo test --release -p lf-cell --test incremental -q
