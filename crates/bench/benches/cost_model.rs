@@ -1,5 +1,6 @@
-//! Criterion: the Algorithm 3 width search and the ground-truth partition
-//! sweep it replaces — quantifying the "lightweight" in LiteForm.
+//! Criterion: the Algorithm 3 width search, the partition-sketch
+//! extraction it runs on, and the ground-truth partition sweep it
+//! replaces — quantifying the "lightweight" in LiteForm.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lf_cost::model::PartitionSketch;
@@ -37,6 +38,13 @@ fn bench_cost(c: &mut Criterion) {
     group.bench_function("exhaustive_width_reference", |b| {
         b.iter(|| exhaustive_best_width(&sketch, 128));
     });
+    // The sketch extraction every compose pays once per matrix: one
+    // parallel tally sweep over all partitions of a `p`-way split.
+    for p in [1usize, 4, 16] {
+        group.bench_function(format!("sketch_all_partitions_p{p}"), |b| {
+            b.iter(|| PartitionSketch::all_from_csr(&csr, p));
+        });
+    }
     group.bench_function("partition_sweep_ground_truth", |b| {
         b.iter(|| optimal_partitions(&csr, 128, &device));
     });

@@ -50,7 +50,7 @@ pub fn build_cell<T: Scalar>(csr: &CsrMatrix<T>, config: &CellConfig) -> Result<
 
     // Phases A+B fused — one sweep over the rows (parallel over row
     // chunks): every row's columns are split into all `p` partition
-    // segments at once (see [`row_boundaries`]) and each segment is
+    // segments at once (see [`BoundaryFinder::split`]) and each segment is
     // binned straight into its partition's width bucket, with no
     // intermediate per-row bounds matrix.
     let plans = sweep_and_plan(csr, &map, config, workers);
@@ -119,60 +119,12 @@ pub fn workers_for(nnz: usize) -> usize {
     }
 }
 
-/// The single partition sweep: a flat `rows × (p+1)` matrix of absolute
-/// CSR offsets such that partition `pi`'s segment of row `r` is
-/// `bounds[r*(p+1)+pi] .. bounds[r*(p+1)+pi+1]`. One pass over the rows
-/// finds every partition's segment at once, instead of the seed's p
-/// full-matrix rescans. Shared with the cost model's `PartitionSketch`
-/// extraction so the builder and the model can never disagree about
-/// partition contents.
-pub fn row_segment_bounds<T: Scalar>(
-    csr: &CsrMatrix<T>,
-    map: &SpanMap,
-    workers: usize,
-) -> Vec<usize> {
-    let rows = csr.rows();
-    let p = map.num_partitions();
-    let stride = p + 1;
-    if p == 1 {
-        // Single partition: each row's only segment is the whole row.
-        let mut bounds = Vec::with_capacity(rows * 2);
-        for r in 0..rows {
-            bounds.push(csr.row_ptr()[r]);
-            bounds.push(csr.row_ptr()[r + 1]);
-        }
-        return bounds;
-    }
-    // Chunk rows so each task fills a contiguous slab, amortizing
-    // allocation and scheduling.
-    let chunks = if workers == 1 { 1 } else { workers * 8 }.min(rows.max(1));
-    let chunk_len = rows.div_ceil(chunks.max(1)).max(1);
-    let mut slabs = lf_sim::parallel::parallel_map(chunks, workers, |ci| {
-        let r_lo = ci * chunk_len;
-        let r_hi = ((ci + 1) * chunk_len).min(rows);
-        let finder = BoundaryFinder::new(map);
-        let mut slab = vec![0usize; (r_hi.saturating_sub(r_lo)) * stride];
-        for r in r_lo..r_hi {
-            let b = &mut slab[(r - r_lo) * stride..(r - r_lo + 1) * stride];
-            finder.split(csr.row_cols(r), csr.row_ptr()[r], b);
-        }
-        slab
-    });
-    if slabs.len() == 1 {
-        return slabs.pop().expect("one slab");
-    }
-    let mut bounds = Vec::with_capacity(rows * stride);
-    for slab in slabs {
-        bounds.extend_from_slice(&slab);
-    }
-    bounds
-}
-
 /// Per-row partition-boundary finder, precomputed once per span layout.
-/// This is the one splitter shared by the builder's fused sweep and
-/// [`row_segment_bounds`] (and through it the cost model's sketch
-/// extraction), so the two can never drift.
-struct BoundaryFinder {
+/// This is the one row splitter in the workspace: the builder's fused
+/// sweep and the cost model's `PartitionSketch` tally sweep both split
+/// rows with it, so the format and the model that prices it can never
+/// disagree about partition contents.
+pub struct BoundaryFinder {
     /// First column of each partition after the zeroth: the `p - 1`
     /// boundaries a row's sorted columns are split at.
     starts: Vec<usize>,
@@ -184,7 +136,8 @@ struct BoundaryFinder {
 }
 
 impl BoundaryFinder {
-    fn new(map: &SpanMap) -> Self {
+    /// The finder for `map`'s span layout.
+    pub fn new(map: &SpanMap) -> Self {
         let p = map.num_partitions();
         let starts: Vec<usize> = (1..p).map(|pi| map.span_of(pi).0).collect();
         // With magic = (2^32 + s) / span for some 0 <= s < span, the
@@ -203,9 +156,9 @@ impl BoundaryFinder {
     /// Split one row's sorted columns at every partition boundary:
     /// `out[pi]..out[pi+1]` becomes partition `pi`'s segment of the
     /// row, as absolute CSR offsets (`base` is the row's start in the
-    /// CSR arrays). `out` holds `starts.len() + 2` entries.
+    /// CSR arrays). `out` holds `p + 1` entries for `p` partitions.
     #[inline]
-    fn split(&self, rcols: &[Index], base: usize, out: &mut [usize]) {
+    pub fn split(&self, rcols: &[Index], base: usize, out: &mut [usize]) {
         let starts = &self.starts;
         let p = starts.len() + 1;
         out[0] = base;
@@ -313,7 +266,7 @@ struct PartitionPlan {
 
 /// Phases A+B fused: one sweep over the rows (parallel over row chunks)
 /// that both splits every row at all partition boundaries (via
-/// [`row_boundaries`]) and bins each segment straight into its
+/// [`BoundaryFinder::split`]) and bins each segment straight into its
 /// partition's width bucket — no intermediate bounds matrix.
 ///
 /// The natural (unconfigured) cap of a partition is the width of its

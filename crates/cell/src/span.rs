@@ -4,7 +4,8 @@
 //! `PartitionSketch` must agree exactly on which columns belong to which
 //! partition — any drift silently decouples the cost model from the
 //! format it prices. Every span computation in the workspace goes through
-//! this module.
+//! this module, and both sweeps split rows at the span boundaries with
+//! one shared splitter, `crate::build::BoundaryFinder`.
 
 /// Clamp a requested partition count to what the column space supports.
 ///

@@ -1,6 +1,5 @@
 //! The bucket cost model, Eq. 5–7 of the paper.
 
-use lf_cell::config::bucket_width_for_len;
 use lf_cell::span::SpanMap;
 use lf_sparse::{CsrMatrix, Index, Scalar};
 use serde::{Deserialize, Serialize};
@@ -51,19 +50,25 @@ struct ClassStats {
     nnz: usize,
     /// Distinct column indices among this class's rows.
     distinct_cols: usize,
+    /// Distinct column indices over this class and every longer one:
+    /// the cap bucket's `|set(Ind)|` under a cap of `2^k`.
+    suffix_distinct: usize,
+    /// `Σ⌈len/2^k⌉` over the rows of every longer class: the fragments
+    /// they fold into under a cap of `2^k`.
+    folded_fragments: usize,
 }
 
 /// A column partition's length histogram, extracted once from CSR so the
 /// width search can re-bucket repeatedly without touching the matrix (or
 /// any column data) again.
 ///
-/// Unlike the original sketch, no column vectors are cloned: distinct
-/// column counts are precomputed per length class plus as a suffix union
-/// (`distinct over classes ≥ k`), which is exactly what
-/// [`crate::search::tune_width`] needs — under a cap `2^c`, every class
-/// below `c` becomes its own bucket unchanged and all classes ≥ `c`
-/// merge into the cap bucket, whose distinct-column count is the suffix
-/// union at `c`.
+/// Per length class it keeps rows, non-zeros, distinct columns, the
+/// distinct columns of the suffix union (`distinct over classes ≥ k`)
+/// and the fold sums — exactly what [`crate::search::tune_width`] needs:
+/// under a cap `2^c`, every class below `c` becomes its own bucket
+/// unchanged, and all classes ≥ `c` merge into the cap bucket, whose
+/// distinct-column count is the suffix union at `c` and whose extra
+/// fragments are the fold sum at `c`.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionSketch {
     /// Number of columns in the whole matrix (for span bookkeeping).
@@ -71,12 +76,88 @@ pub struct PartitionSketch {
     num_rows: usize,
     nnz: usize,
     max_row_len: usize,
-    /// `classes[k]` ⇒ natural width `2^k`; empty when the partition is.
+    /// `classes[k]` ⇒ natural width `2^k`; empty when the partition is,
+    /// and never longer than the longest row's class.
     classes: Vec<ClassStats>,
-    /// `suffix_distinct[k]` = distinct columns over classes `k..`.
-    suffix_distinct: Vec<usize>,
-    /// All non-empty row lengths, descending (fragment counting).
-    lens_desc: Vec<usize>,
+}
+
+/// Length class of a non-empty row segment: `⌈log₂ len⌉`, the exponent
+/// of [`lf_cell::config::bucket_width_for_len`].
+#[inline]
+fn class_of(len: usize) -> usize {
+    (usize::BITS - (len - 1).leading_zeros()) as usize
+}
+
+/// One length class's running tallies over the rows a sweep has seen.
+#[derive(Debug, Clone, Default)]
+struct ClassTally {
+    rows: usize,
+    nnz: usize,
+    /// Span-wide column bitset, allocated on the class's first row.
+    bits: Vec<u64>,
+}
+
+/// One column span's running tallies over a range of rows: what a
+/// row-chunk worker accumulates. Chunks merge by add (counts, fold
+/// sums), max (longest row) and OR (column bitsets).
+#[derive(Debug)]
+struct SpanTally {
+    lo: usize,
+    /// Span width in 64-column bitset words.
+    words: usize,
+    max_len: usize,
+    /// `classes[k]`, for every class a segment of this span can reach.
+    classes: Vec<ClassTally>,
+    /// `folds[c]`: `Σ⌈len/2^c⌉` over the rows whose class exceeds `c`.
+    folds: Vec<usize>,
+}
+
+impl SpanTally {
+    fn new(lo: usize, hi: usize) -> Self {
+        let n = class_of((hi - lo).max(1)) + 1;
+        SpanTally {
+            lo,
+            words: (hi - lo).div_ceil(64),
+            max_len: 0,
+            classes: vec![ClassTally::default(); n],
+            folds: vec![0; n],
+        }
+    }
+
+    /// Count one row's segment (its columns, all inside the span).
+    #[inline]
+    fn add(&mut self, seg: &[Index]) {
+        let len = seg.len();
+        if len == 0 {
+            return;
+        }
+        let k = class_of(len);
+        self.max_len = self.max_len.max(len);
+        for (c, fold) in self.folds[..k].iter_mut().enumerate() {
+            *fold += len.div_ceil(1 << c);
+        }
+        let class = &mut self.classes[k];
+        class.rows += 1;
+        class.nnz += len;
+        if class.bits.is_empty() {
+            class.bits = vec![0; self.words];
+        }
+        for &col in seg {
+            let x = col as usize - self.lo;
+            class.bits[x / 64] |= 1 << (x % 64);
+        }
+    }
+}
+
+/// Balanced row chunks for a tally sweep: `chunks` contiguous row
+/// ranges holding about equal shares of the non-zeros.
+fn row_chunks<T: Scalar>(csr: &CsrMatrix<T>, chunks: usize) -> Vec<usize> {
+    let row_ptr = csr.row_ptr();
+    let mut bounds: Vec<usize> = (0..chunks)
+        .map(|ci| row_ptr.partition_point(|&o| o < csr.nnz() * ci / chunks))
+        .collect();
+    bounds.push(csr.rows());
+    bounds
 }
 
 impl PartitionSketch {
@@ -86,100 +167,92 @@ impl PartitionSketch {
     /// `p`-way split, [`PartitionSketch::all_from_csr`] does one shared
     /// O(nnz) sweep instead.
     pub fn from_csr<T: Scalar>(csr: &CsrMatrix<T>, col_lo: usize, col_hi: usize) -> Self {
-        let mut slices: Vec<&[Index]> = Vec::new();
+        let mut tally = SpanTally::new(col_lo, col_hi);
         for r in 0..csr.rows() {
             let rcols = csr.row_cols(r);
             let start = rcols.partition_point(|&c| (c as usize) < col_lo);
             let end = rcols.partition_point(|&c| (c as usize) < col_hi);
-            if start < end {
-                slices.push(&rcols[start..end]);
-            }
+            tally.add(&rcols[start..end]);
         }
-        Self::from_slices(csr.cols(), col_lo, col_hi, &slices)
+        Self::merge(csr.cols(), &[&tally])
     }
 
-    /// Sketch every partition of a `p`-way equal split with a single
-    /// O(nnz) sweep over the CSR — the same
-    /// [`lf_cell::build::row_segment_bounds`] sweep the CELL builder
-    /// uses, so the sketches describe exactly what `build_cell` builds.
+    /// Sketch every partition of a `p`-way equal split with one O(nnz)
+    /// tally sweep over the CSR, parallel over non-zero-balanced row
+    /// chunks. Each chunk splits its rows with the CELL builder's own
+    /// [`lf_cell::build::BoundaryFinder`], so the sketches describe
+    /// exactly what `build_cell` builds; the chunk tallies then merge
+    /// per partition.
     pub fn all_from_csr<T: Scalar>(csr: &CsrMatrix<T>, p: usize) -> Vec<Self> {
         let map = SpanMap::new(csr.cols(), p);
         let p = map.num_partitions();
         let workers = lf_cell::build::workers_for(csr.nnz());
-        let bounds = lf_cell::build::row_segment_bounds(csr, &map, workers);
-        let stride = p + 1;
-        lf_sim::parallel::parallel_map(p, workers.min(p), |pi| {
-            let (lo, hi) = map.span_of(pi);
-            let mut slices: Vec<&[Index]> = Vec::new();
-            for r in 0..csr.rows() {
-                let start = bounds[r * stride + pi];
-                let end = bounds[r * stride + pi + 1];
-                if start < end {
-                    slices.push(&csr.col_ind()[start..end]);
+        let bounds = row_chunks(csr, if workers == 1 { 1 } else { workers * 2 });
+        let chunks = lf_sim::parallel::parallel_map(bounds.len() - 1, workers, |ci| {
+            let mut tallies: Vec<SpanTally> = map
+                .spans()
+                .into_iter()
+                .map(|(lo, hi)| SpanTally::new(lo, hi))
+                .collect();
+            let finder = lf_cell::build::BoundaryFinder::new(&map);
+            let mut b = vec![0usize; p + 1];
+            for r in bounds[ci]..bounds[ci + 1] {
+                let rcols = csr.row_cols(r);
+                if rcols.is_empty() {
+                    continue;
+                }
+                finder.split(rcols, 0, &mut b);
+                for (pi, tally) in tallies.iter_mut().enumerate() {
+                    tally.add(&rcols[b[pi]..b[pi + 1]]);
                 }
             }
-            Self::from_slices(csr.cols(), lo, hi, &slices)
-        })
+            tallies
+        });
+        (0..p)
+            .map(|pi| {
+                let parts: Vec<&SpanTally> = chunks.iter().map(|tallies| &tallies[pi]).collect();
+                Self::merge(csr.cols(), &parts)
+            })
+            .collect()
     }
 
-    /// Build the histogram from per-row column slices (all non-empty,
-    /// every column in `[col_lo, col_hi)`).
-    fn from_slices(cols: usize, col_lo: usize, col_hi: usize, slices: &[&[Index]]) -> Self {
-        let num_rows = slices.len();
-        let nnz: usize = slices.iter().map(|s| s.len()).sum();
-        let max_row_len = slices.iter().map(|s| s.len()).max().unwrap_or(0);
-        let n_classes = if num_rows == 0 {
+    /// Merge one span's chunk tallies into its sketch. Distinct counts
+    /// are popcounts: of each class's OR-merged bitset, and of a running
+    /// OR from the longest class down for the suffix unions.
+    fn merge(cols: usize, parts: &[&SpanTally]) -> Self {
+        let max_row_len = parts.iter().map(|t| t.max_len).max().unwrap_or(0);
+        let n_classes = if max_row_len == 0 {
             0
         } else {
-            bucket_width_for_len(max_row_len).trailing_zeros() as usize + 1
+            class_of(max_row_len) + 1
         };
+        let words = parts[0].words;
+        let mut union = vec![0u64; words];
+        let mut running = vec![0u64; words];
         let mut classes = vec![ClassStats::default(); n_classes];
-        let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); n_classes];
-        for (i, s) in slices.iter().enumerate() {
-            let k = bucket_width_for_len(s.len()).trailing_zeros() as usize;
-            classes[k].rows += 1;
-            classes[k].nnz += s.len();
-            by_class[k].push(i);
-        }
-
-        // One top-down sweep fills both distinct counts: `stamp` is
-        // per-class (epoch = class index), `seen` accumulates the suffix
-        // union. Arrays are span-sized, indexed by `col - col_lo`.
-        let width = col_hi - col_lo;
-        let mut stamp = vec![u32::MAX; width];
-        let mut seen = vec![false; width];
-        let mut suffix_distinct = vec![0usize; n_classes];
-        let mut cumulative = 0usize;
-        for k in (0..n_classes).rev() {
-            let mut distinct = 0usize;
-            for &i in &by_class[k] {
-                for &c in slices[i] {
-                    let x = c as usize - col_lo;
-                    if stamp[x] != k as u32 {
-                        stamp[x] = k as u32;
-                        distinct += 1;
-                    }
-                    if !seen[x] {
-                        seen[x] = true;
-                        cumulative += 1;
-                    }
+        for (k, class) in classes.iter_mut().enumerate().rev() {
+            union.fill(0);
+            for t in parts {
+                let tally = &t.classes[k];
+                class.rows += tally.rows;
+                class.nnz += tally.nnz;
+                class.folded_fragments += t.folds[k];
+                for (u, &w) in union.iter_mut().zip(&tally.bits) {
+                    *u |= w;
                 }
             }
-            classes[k].distinct_cols = distinct;
-            suffix_distinct[k] = cumulative;
+            for (r, &u) in running.iter_mut().zip(&union) {
+                class.distinct_cols += u.count_ones() as usize;
+                *r |= u;
+                class.suffix_distinct += r.count_ones() as usize;
+            }
         }
-
-        let mut lens_desc: Vec<usize> = slices.iter().map(|s| s.len()).collect();
-        lens_desc.sort_unstable_by(|a, b| b.cmp(a));
-
         PartitionSketch {
             cols,
-            num_rows,
-            nnz,
+            num_rows: classes.iter().map(|c| c.rows).sum(),
+            nnz: classes.iter().map(|c| c.nnz).sum(),
             max_row_len,
             classes,
-            suffix_distinct,
-            lens_desc,
         }
     }
 
@@ -208,57 +281,54 @@ impl PartitionSketch {
 
     /// The paper's `TuneWidth` on the histogram: bucket sketches under a
     /// maximum width of `cap` (a power of two), folding longer rows into
-    /// the cap bucket. O(classes + folded rows); no column data touched.
+    /// the cap bucket. O(classes); no column data touched.
     pub fn sketches_under_cap(&self, cap: usize) -> Vec<BucketSketch> {
+        self.buckets_under_cap(cap).collect()
+    }
+
+    /// Total Eq. 7 cost under `cap`: the same buckets, summed in the same
+    /// order, as `partition_cost(&self.sketches_under_cap(cap), j)` —
+    /// so the same bits — without materializing the sketches.
+    /// O(classes).
+    pub fn cost_under_cap(&self, cap: usize, j: usize) -> f64 {
+        self.buckets_under_cap(cap)
+            .map(|s| bucket_cost(&s, j))
+            .sum()
+    }
+
+    /// The buckets under `cap`, widths ascending: every non-empty class
+    /// below the cap as its own bucket, then the cap bucket — class `c`'s
+    /// rows plus every longer row folded into `⌈len/cap⌉` fragments.
+    fn buckets_under_cap(&self, cap: usize) -> impl Iterator<Item = BucketSketch> + '_ {
         assert!(
             cap >= 1 && cap.is_power_of_two(),
             "cap must be a power of two"
         );
         let c = cap.trailing_zeros() as usize;
-        let mut out = Vec::new();
-        // Classes strictly below the cap keep their natural buckets.
-        for (k, cls) in self
+        let natural = self
             .classes
             .iter()
             .enumerate()
-            .take(c.min(self.classes.len()))
-        {
-            if cls.rows > 0 {
-                out.push(BucketSketch {
-                    width: 1 << k,
-                    i1: cls.rows,
-                    i2: cls.rows,
-                    unique_cols: cls.distinct_cols,
-                    nnz: cls.nnz,
-                });
+            .take(c)
+            .filter(|(_, class)| class.rows > 0)
+            .map(|(k, class)| BucketSketch {
+                width: 1 << k,
+                i1: class.rows,
+                i2: class.rows,
+                unique_cols: class.distinct_cols,
+                nnz: class.nnz,
+            });
+        let capped = self.classes.get(c).map(|class| {
+            let longer = &self.classes[c + 1..];
+            BucketSketch {
+                width: cap,
+                i1: class.rows + class.folded_fragments,
+                i2: class.rows + longer.iter().map(|l| l.rows).sum::<usize>(),
+                unique_cols: class.suffix_distinct,
+                nnz: class.nnz + longer.iter().map(|l| l.nnz).sum::<usize>(),
             }
-        }
-        if c >= self.classes.len() {
-            return out;
-        }
-        // The cap bucket: class `c`'s rows plus every longer row folded
-        // into `ceil(len/cap)` fragments. Lengths are sorted descending,
-        // so the fold scan stops at the first row that fits.
-        let natural = self.classes[c];
-        let mut fragments = 0usize;
-        let mut folded_rows = 0usize;
-        let mut folded_nnz = 0usize;
-        for &len in &self.lens_desc {
-            if len <= cap {
-                break;
-            }
-            fragments += len.div_ceil(cap);
-            folded_rows += 1;
-            folded_nnz += len;
-        }
-        out.push(BucketSketch {
-            width: cap,
-            i1: natural.rows + fragments,
-            i2: natural.rows + folded_rows,
-            unique_cols: self.suffix_distinct[c],
-            nnz: natural.nnz + folded_nnz,
         });
-        out
+        natural.chain(capped)
     }
 }
 

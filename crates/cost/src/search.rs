@@ -7,16 +7,16 @@
 //! walks exponents — the geometric version of the paper's
 //! `mW = (lW + rW) / 2` midpoint. Cost probes are memoized per exponent
 //! ([`CostProbe`]), so overlapping `cost(m)`/`cost(2m)` evaluations
-//! across iterations never re-sketch the same cap twice.
+//! across iterations never re-price the same cap twice.
 
-use crate::model::{partition_cost, BucketSketch, PartitionSketch};
+use crate::model::{BucketSketch, PartitionSketch};
 
 /// The paper's `TuneWidth`: bucket the partition's rows under a maximum
 /// width of `cap` (a power of two), folding longer rows into the maximum
 /// bucket, and return the per-bucket sketches.
 ///
-/// Runs on the partition's precomputed length histogram —
-/// O(classes + folded rows), no column data touched.
+/// Runs on the partition's precomputed class tallies — O(classes), no
+/// column data touched.
 pub fn tune_width(partition: &PartitionSketch, cap: usize) -> Vec<BucketSketch> {
     partition.sketches_under_cap(cap)
 }
@@ -25,7 +25,9 @@ pub fn tune_width(partition: &PartitionSketch, cap: usize) -> Vec<BucketSketch> 
 ///
 /// Both the doubling binary search and the exhaustive reference evaluate
 /// caps repeatedly (`cost(m)` of one iteration is `cost(2m)` of another);
-/// the cache guarantees each exponent is sketched at most once.
+/// the cache guarantees each exponent is priced at most once. A price is
+/// read straight off the class tallies
+/// ([`PartitionSketch::cost_under_cap`]), with no sketch vector built.
 pub struct CostProbe<'a> {
     partition: &'a PartitionSketch,
     j: usize,
@@ -47,19 +49,20 @@ impl<'a> CostProbe<'a> {
         }
     }
 
-    /// Total Eq. 7 cost under cap `2^exp`, computing it at most once.
+    /// Total Eq. 7 cost under cap `2^exp`, computing it at most once —
+    /// bit-identical to `partition_cost` over `tune_width`'s sketches.
     pub fn cost(&mut self, exp: u32) -> f64 {
         self.probes += 1;
         if let Some(c) = self.cache[exp as usize] {
             return c;
         }
         self.evaluations += 1;
-        let c = partition_cost(&self.partition.sketches_under_cap(1 << exp), self.j);
+        let c = self.partition.cost_under_cap(1 << exp, self.j);
         self.cache[exp as usize] = Some(c);
         c
     }
 
-    /// `(cost probes answered, sketches actually built)` — the gap is
+    /// `(cost probes answered, caps actually priced)` — the gap is
     /// the memoization saving.
     pub fn stats(&self) -> (usize, usize) {
         (self.probes, self.evaluations)
@@ -133,13 +136,14 @@ pub fn total_cost_for_caps<T: lf_sparse::Scalar>(
     PartitionSketch::all_from_csr(csr, caps.len())
         .iter()
         .zip(caps)
-        .map(|(part, &cap)| partition_cost(&part.sketches_under_cap(cap), j))
+        .map(|(part, &cap)| part.cost_under_cap(cap, j))
         .sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::partition_cost;
     use lf_sparse::gen::{mixed_regions, power_law, uniform_with_long_rows, PowerLawConfig};
     use lf_sparse::{CooMatrix, CsrMatrix, Pcg32};
 
