@@ -37,7 +37,6 @@ pub mod csr;
 pub mod ellpack;
 pub mod sell;
 pub mod simd;
-pub mod spmv;
 pub mod taco;
 
 pub use batch::{concat_columns, scatter_columns, scatter_crossover};
@@ -47,7 +46,6 @@ pub use csr::{CsrScalarKernel, CsrVectorKernel, DgSparseKernel, SputnikKernel};
 pub use ellpack::EllKernel;
 pub use sell::SellKernel;
 pub use simd::{dispatched_lanes, stream_row, Lanes, TileParams, MAX_K_BLOCK};
-pub use spmv::{spmv, spmv_profile};
 pub use taco::{TacoKernel, TacoSchedule};
 
 use lf_sim::atomicf::AtomicScalar;

@@ -8,7 +8,7 @@
 //! * a 64-bit hash of the column-index array (column structure);
 //! * a 64-bit hash of the value bits.
 //!
-//! Each array hash runs [`LANES`] independent xor-multiply chains over
+//! Each array hash runs `LANES` independent xor-multiply chains over
 //! 64-bit words (4-byte items packed two to a word), word `i` feeding
 //! lane `i % LANES`, so consecutive multiplies do not wait on each
 //! other; the lanes and the array length are folded together at the

@@ -387,7 +387,7 @@ impl<T: AtomicScalar> PlanStore<T> {
         self.dir.join(format!("p{:016x}-{j}.lfp", fp.digest()))
     }
 
-    /// Demote a plan to disk: [`put_record`](Self::put_record), then
+    /// Demote a plan to disk: `put_record`, then
     /// rewrite the manifest. On any failure the store's on-disk state is
     /// either untouched or missing only evicted records — never torn.
     pub fn put(

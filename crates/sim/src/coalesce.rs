@@ -30,17 +30,6 @@ pub fn segment_transactions(count: usize, elem_bytes: usize, transaction_bytes: 
     (bytes.div_ceil(transaction_bytes)) as u64
 }
 
-/// Transactions for a warp reading a contiguous span of `span_elems`
-/// elements starting anywhere (one row of the dense operand, say): the
-/// span is sequential, so it coalesces perfectly modulo alignment slack.
-pub fn row_span_transactions(
-    span_elems: usize,
-    elem_bytes: usize,
-    transaction_bytes: usize,
-) -> u64 {
-    segment_transactions(span_elems, elem_bytes, transaction_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,14 +84,6 @@ mod tests {
         assert_eq!(segment_transactions(8, 4, 32), 1);
         assert_eq!(segment_transactions(9, 4, 32), 2);
         assert_eq!(segment_transactions(128, 4, 32), 16);
-    }
-
-    #[test]
-    fn row_span_matches_segment() {
-        assert_eq!(
-            row_span_transactions(33, 4, 32),
-            segment_transactions(33, 4, 32)
-        );
     }
 
     #[test]

@@ -34,8 +34,8 @@
 //! `wait_idle` / panic re-raise) is built on [`crate::sync`], so a
 //! `--features check` build runs it under the `lf-check` model checker:
 //! `tests/model_pool.rs` explores its thread interleavings exhaustively
-//! (bounded), including panicking bodies, and proves the [`Job::alive`]
-//! liveness witness is never violated. [`ThreadPool::broadcast_reverted`]
+//! (bounded), including panicking bodies, and proves the `Job::alive`
+//! liveness witness is never violated. `ThreadPool::broadcast_reverted`
 //! (feature-gated) re-creates the pre-review protocol without the drop
 //! guard, whose submitter-panic use-after-free the checker re-discovers.
 

@@ -394,39 +394,6 @@ impl<T: Scalar> CsrMatrix<T> {
         d
     }
 
-    /// Extract the sub-matrix containing only columns `[col_lo, col_hi)`,
-    /// keeping original row count. Column indices are *not* rebased; the
-    /// result is expressed in the original column space, which is what the
-    /// CELL partition builder needs.
-    pub fn column_slice(&self, col_lo: usize, col_hi: usize) -> Result<Self> {
-        if col_lo > col_hi || col_hi > self.cols {
-            return Err(SparseError::InvalidConfig(format!(
-                "bad column slice [{col_lo}, {col_hi}) for {} cols",
-                self.cols
-            )));
-        }
-        let mut row_ptr = Vec::with_capacity(self.rows + 1);
-        let mut col_ind = Vec::new();
-        let mut values = Vec::new();
-        row_ptr.push(0usize);
-        for i in 0..self.rows {
-            let cols = self.row_cols(i);
-            let vals = self.row_values(i);
-            let start = cols.partition_point(|&c| (c as usize) < col_lo);
-            let end = cols.partition_point(|&c| (c as usize) < col_hi);
-            col_ind.extend_from_slice(&cols[start..end]);
-            values.extend_from_slice(&vals[start..end]);
-            row_ptr.push(col_ind.len());
-        }
-        Ok(CsrMatrix {
-            rows: self.rows,
-            cols: self.cols,
-            row_ptr,
-            col_ind,
-            values,
-        })
-    }
-
     /// Reference sequential SpMM: `C = A * B`. Used as the ground truth all
     /// simulated kernels are checked against.
     pub fn spmm_reference(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
@@ -710,20 +677,6 @@ mod tests {
         let m = sample();
         let b = DenseMatrix::<f64>::zeros(3, 3);
         assert!(m.spmm_reference(&b).is_err());
-    }
-
-    #[test]
-    fn column_slice_keeps_row_structure() {
-        let m = sample();
-        let s = m.column_slice(1, 3).unwrap();
-        assert_eq!(s.shape(), m.shape());
-        let entries: Vec<_> = s.iter().collect();
-        assert_eq!(entries, vec![(1, 2, -1.0), (2, 1, 3.0)]);
-        // Degenerate slices.
-        assert_eq!(m.column_slice(0, 0).unwrap().nnz(), 0);
-        assert_eq!(m.column_slice(0, 4).unwrap().nnz(), m.nnz());
-        assert!(m.column_slice(3, 2).is_err());
-        assert!(m.column_slice(0, 5).is_err());
     }
 
     #[test]

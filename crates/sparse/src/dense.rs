@@ -128,23 +128,6 @@ impl<T: Scalar> DenseMatrix<T> {
         self.data.len() * std::mem::size_of::<T>()
     }
 
-    /// Frobenius-style max-abs difference against another matrix.
-    pub fn max_abs_diff(&self, other: &Self) -> Result<f64> {
-        if self.shape() != other.shape() {
-            return Err(SparseError::DimensionMismatch {
-                op: "max_abs_diff",
-                lhs: self.shape(),
-                rhs: other.shape(),
-            });
-        }
-        Ok(self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a.to_f64() - b.to_f64()).abs())
-            .fold(0.0, f64::max))
-    }
-
     /// Element-wise approximate equality with tolerance `tol`
     /// (relative/absolute hybrid, see [`Scalar::approx_eq`]).
     pub fn approx_eq(&self, other: &Self, tol: f64) -> bool {
@@ -250,15 +233,5 @@ mod tests {
         let a = DenseMatrix::<f64>::zeros(2, 3);
         let b = DenseMatrix::<f64>::zeros(2, 3);
         assert!(a.matmul(&b).is_err());
-    }
-
-    #[test]
-    fn max_abs_diff_detects_difference() {
-        let a = DenseMatrix::<f64>::zeros(2, 2);
-        let mut b = DenseMatrix::<f64>::zeros(2, 2);
-        b.set(1, 1, 0.5);
-        assert_eq!(a.max_abs_diff(&b).unwrap(), 0.5);
-        let c = DenseMatrix::<f64>::zeros(3, 2);
-        assert!(a.max_abs_diff(&c).is_err());
     }
 }

@@ -10,29 +10,22 @@
 //! *blockwise* formats surveyed in §2.1 of the paper:
 //!
 //! * [`CooMatrix`] — coordinate list
-//! * [`CsrMatrix`] / [`CscMatrix`] — compressed sparse row / column
-//! * [`DcsrMatrix`] — doubly-compressed sparse row (hypersparse)
+//! * [`CsrMatrix`] — compressed sparse row
 //! * [`EllMatrix`] — Ellpack with left-packed rows and zero padding
 //! * [`SellMatrix`] — sliced Ellpack (per-slice width)
-//! * [`DiaMatrix`] — diagonal storage for banded matrices
 //! * [`BcsrMatrix`] — block compressed sparse row (zero-padded dense blocks)
-//! * [`HybMatrix`] — classic ELL + COO hybrid
 //!
 //! The paper's own composable CELL format lives in the `lf-cell` crate and
 //! is built from [`CsrMatrix`].
 
 pub mod bcsr;
 pub mod coo;
-pub mod csc;
 pub mod csr;
-pub mod dcsr;
 pub mod dense;
-pub mod dia;
 pub mod ell;
 pub mod error;
 pub mod features;
 pub mod gen;
-pub mod hyb;
 pub mod io;
 pub mod rng;
 pub mod scalar;
@@ -41,15 +34,11 @@ pub mod update;
 
 pub use bcsr::BcsrMatrix;
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
-pub use dcsr::DcsrMatrix;
 pub use dense::DenseMatrix;
-pub use dia::DiaMatrix;
 pub use ell::EllMatrix;
 pub use error::SparseError;
 pub use features::{FormatFeatures, PartitionFeatures, RowStats};
-pub use hyb::HybMatrix;
 pub use rng::Pcg32;
 pub use scalar::Scalar;
 pub use sell::SellMatrix;

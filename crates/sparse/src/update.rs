@@ -67,12 +67,6 @@ impl<T: Scalar> EdgeUpdate<T> {
             | EdgeUpdate::SetValue { row, col, .. } => (row, col),
         }
     }
-
-    /// `true` if this update changes the stored pattern (insert/delete),
-    /// `false` for a pure value change.
-    pub fn changes_pattern(&self) -> bool {
-        !matches!(self, EdgeUpdate::SetValue { .. })
-    }
 }
 
 /// Internal per-coordinate operation after validation.

@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: build, test, format, lint.
+# Tier-1 verification gate: build, test, format, lint, rustdoc.
 #
 # Run from the repo root. Fails fast on the first broken stage so CI and
 # pre-commit hooks get a single unambiguous exit code.
+#
+# The rustdoc stage documents every workspace crate with warnings denied,
+# so a deleted or private item that a doc comment still links to fails
+# the gate instead of rendering as a dead link.
 #
 # Optional tiers:
 #   --bench   appends a seconds-scale benchmark smoke (bench_spmm,
@@ -85,6 +89,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> source-invariant lint (lf-check: unsafe/ordering/lock-order/panic-path/determinism/ledger)"
 cargo run -q -p lf-check --bin lint
+
+echo "==> rustdoc -D warnings (no dangling or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 if [[ "$RUN_BENCH" == "1" ]]; then
   echo "==> bench smoke (bench_spmm --quick)"

@@ -1,7 +1,7 @@
 //! Offline stand-in for `serde_json`. Serialization prints the serde
 //! shim's [`Value`] tree as standard JSON text. Deserialization is
 //! [`from_str`]: it runs the target type's streaming
-//! [`Deserialize`](serde::Deserialize) impl over a [`serde::Reader`] and
+//! [`Deserialize`] impl over a [`serde::Reader`] and
 //! refuses trailing input, so no `Value` tree is built unless the target
 //! is `Value`. Nesting deeper than [`serde::MAX_DEPTH`] is an error.
 
