@@ -450,8 +450,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&store_dir);
 
     // What one record costs the disk tier: `put` is encode, both CRCs,
-    // the synced write and rename, and the manifest rewrite; `get` is
-    // the read, both CRCs, decode, and the fingerprint re-check.
+    // and the synced write and rename; `get` is the read, both CRCs,
+    // decode, and the fingerprint re-check.
     let io_dir = std::env::temp_dir().join(format!("lf-bench-store-io-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&io_dir);
     let store: PlanStore<f32> = PlanStore::open(StoreConfig {

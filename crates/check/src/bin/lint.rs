@@ -6,7 +6,7 @@
 //! ```
 //!
 //! * `ROOT` — workspace root to scan (default: two levels above this
-//!   crate's manifest, i.e. the repo root).
+//!   crate's `Cargo.toml`, i.e. the repo root).
 //! * `--json[=PATH]` — emit the machine-readable report (findings +
 //!   suppressed findings + file count) to stdout or `PATH`; CI uploads
 //!   this as the findings artifact.

@@ -47,38 +47,34 @@ pub enum ChaosSite {
     /// The process "dies" mid-way through writing a demoted plan record
     /// to the disk tier: the temp file is left torn, never renamed.
     DemoteTorn = 4,
-    /// The process "dies" mid-way through rewriting the store manifest:
-    /// the temp manifest is left torn, the old one stays in place.
-    ManifestTorn = 5,
     /// Startup cache warming aborts part-way (models a crash during
     /// recovery itself; the next restart must still come up clean).
-    WarmAbort = 6,
+    WarmAbort = 5,
     /// A delta batch "dies" after validating but before committing the
     /// new epoch: the handle must stay on the old epoch, bitwise intact,
     /// and every plan it retires must still be retired later.
-    UpdateTorn = 7,
+    UpdateTorn = 6,
     /// The RAM sweep of retired-epoch plans aborts part-way: some stale
     /// entries survive in cache and must stay unreachable until a later
     /// sweep retires them.
-    EpochSweepAbort = 8,
+    EpochSweepAbort = 7,
     /// Disk invalidation of a retired epoch is skipped: the stale record
     /// stays on disk and must be refused (or ignored) on every future
     /// read, never served against the new epoch.
-    StaleDiskRecord = 9,
+    StaleDiskRecord = 8,
     /// The process "dies" with demotions still in the write-behind
     /// queue: the demotion writer stops before its next batch, and the
     /// queued plans never reach disk. A restart must come up clean.
-    DemoteQueuedKill = 10,
+    DemoteQueuedKill = 9,
 }
 
 /// All sites, for iteration in harnesses and reports.
-pub const CHAOS_SITES: [ChaosSite; 11] = [
+pub const CHAOS_SITES: [ChaosSite; 10] = [
     ChaosSite::ComposePanic,
     ChaosSite::ExecutePanic,
     ChaosSite::AllocFail,
     ChaosSite::SlowPath,
     ChaosSite::DemoteTorn,
-    ChaosSite::ManifestTorn,
     ChaosSite::WarmAbort,
     ChaosSite::UpdateTorn,
     ChaosSite::EpochSweepAbort,
@@ -95,7 +91,6 @@ impl ChaosSite {
             ChaosSite::AllocFail => "alloc_fail",
             ChaosSite::SlowPath => "slow_path",
             ChaosSite::DemoteTorn => "demote_torn",
-            ChaosSite::ManifestTorn => "manifest_torn",
             ChaosSite::WarmAbort => "warm_abort",
             ChaosSite::UpdateTorn => "update_torn",
             ChaosSite::EpochSweepAbort => "epoch_sweep_abort",
@@ -105,21 +100,22 @@ impl ChaosSite {
     }
 
     /// Per-site salt so sites draw independent streams from one seed.
+    /// Each salt belongs to its site, not to its position, so a site's
+    /// fault stream for a seed stays the same when sites are renumbered.
     fn salt(self) -> u64 {
         // Arbitrary odd constants, distinct per site.
-        [
-            0xa076_1d64_78bd_642f,
-            0xe703_7ed1_a0b4_28db,
-            0x8ebc_6af0_9c88_c6e3,
-            0x5899_65cc_7537_4cc3,
-            0x1d8e_4e27_c47d_124f,
-            0xeb44_accb_917f_9e91,
-            0x9c6e_6877_736c_46e3,
-            0x2f63_8c92_6e9f_3a11,
-            0xd1b5_4a32_d192_ed03,
-            0x8d90_fdb7_35c9_0b2d,
-            0x6a09_e667_f3bc_c909,
-        ][self as usize]
+        match self {
+            ChaosSite::ComposePanic => 0xa076_1d64_78bd_642f,
+            ChaosSite::ExecutePanic => 0xe703_7ed1_a0b4_28db,
+            ChaosSite::AllocFail => 0x8ebc_6af0_9c88_c6e3,
+            ChaosSite::SlowPath => 0x5899_65cc_7537_4cc3,
+            ChaosSite::DemoteTorn => 0x1d8e_4e27_c47d_124f,
+            ChaosSite::WarmAbort => 0x9c6e_6877_736c_46e3,
+            ChaosSite::UpdateTorn => 0x2f63_8c92_6e9f_3a11,
+            ChaosSite::EpochSweepAbort => 0xd1b5_4a32_d192_ed03,
+            ChaosSite::StaleDiskRecord => 0x8d90_fdb7_35c9_0b2d,
+            ChaosSite::DemoteQueuedKill => 0x6a09_e667_f3bc_c909,
+        }
     }
 }
 
@@ -131,7 +127,7 @@ pub struct ChaosPlan {
     pub seed: u64,
     /// Injection rate per site, in per-mille (0..=1000), indexed by
     /// `ChaosSite as usize`.
-    pub permille: [u16; 11],
+    pub permille: [u16; CHAOS_SITES.len()],
 }
 
 impl ChaosPlan {
@@ -139,7 +135,7 @@ impl ChaosPlan {
     pub fn disabled(seed: u64) -> Self {
         ChaosPlan {
             seed,
-            permille: [0; 11],
+            permille: [0; CHAOS_SITES.len()],
         }
     }
 
@@ -147,7 +143,7 @@ impl ChaosPlan {
     pub fn uniform(seed: u64, permille: u16) -> Self {
         ChaosPlan {
             seed,
-            permille: [permille; 11],
+            permille: [permille; CHAOS_SITES.len()],
         }
     }
 
@@ -162,8 +158,8 @@ static ACTIVE: AtomicBool = AtomicBool::new(false);
 static PLAN: Mutex<Option<ChaosPlan>> = Mutex::new(None);
 #[allow(clippy::declare_interior_mutable_const)]
 const ZERO: AtomicU64 = AtomicU64::new(0);
-static DECISIONS: [AtomicU64; 11] = [ZERO; 11];
-static INJECTED: [AtomicU64; 11] = [ZERO; 11];
+static DECISIONS: [AtomicU64; CHAOS_SITES.len()] = [ZERO; CHAOS_SITES.len()];
+static INJECTED: [AtomicU64; CHAOS_SITES.len()] = [ZERO; CHAOS_SITES.len()];
 
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -248,6 +244,15 @@ mod tests {
     // this single #[test] (Rust runs tests in one process, threaded).
     #[test]
     fn chaos_plan_semantics() {
+        // Every site sits at its own index, with a distinct name and salt.
+        for (i, s) in CHAOS_SITES.into_iter().enumerate() {
+            assert_eq!(s as usize, i, "{} is out of place", s.name());
+            for t in &CHAOS_SITES[..i] {
+                assert_ne!(s.name(), t.name());
+                assert_ne!(s.salt(), t.salt());
+            }
+        }
+
         // Inert by default.
         reset();
         assert!(!active());

@@ -140,7 +140,7 @@ impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------------
 // Wire primitives: little-endian scalars plus CRC-32, shared with the
-// serving layer's record and manifest framing.
+// serving layer's record framing.
 // ---------------------------------------------------------------------
 
 /// CRC-32 (IEEE 802.3, reflected) slicing-by-16 tables, built at compile
@@ -202,27 +202,16 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// Append-only little-endian byte sink.
-#[derive(Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        ByteWriter::default()
-    }
-
     /// A writer with reserved capacity.
     pub fn with_capacity(cap: usize) -> Self {
         ByteWriter {
             buf: Vec::with_capacity(cap),
         }
-    }
-
-    /// The bytes written so far.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
     }
 
     /// Consume the writer, returning its buffer.
@@ -857,9 +846,8 @@ mod tests {
 
     #[test]
     fn length_guard_rejects_oversized_claims() {
-        let mut w = ByteWriter::new();
-        w.u64(u64::MAX);
-        let mut r = ByteReader::new(w.as_bytes());
+        let claim = u64::MAX.to_le_bytes();
+        let mut r = ByteReader::new(&claim);
         assert!(matches!(r.len(1024, "n"), Err(CodecError::BadField("n"))));
     }
 }

@@ -3,7 +3,7 @@
 use crate::predictor::PartitionPredictor;
 use crate::profile::{PreprocessProfile, StageStats};
 use crate::selector::FormatSelector;
-use lf_cell::{build_cell, CellConfig, CellMatrix};
+use lf_cell::{build_cell, effective_partitions, CellConfig, CellMatrix};
 use lf_cost::search::optimal_widths_for_matrix;
 use lf_cost::tile::{plan_tile, TileFeatures};
 use lf_kernels::{CellKernel, CsrVectorKernel, SpmmKernel, TileParams};
@@ -37,6 +37,37 @@ impl OverheadBreakdown {
             + self.width_search_s
             + self.build_s
     }
+}
+
+/// Build CELL at `p` column partitions for dense width `j`, recording
+/// the width-search and build stages into `profile`. `p` is clamped with
+/// [`effective_partitions`]; `tune_widths` runs the Algorithm-3
+/// bucket-width search, otherwise buckets keep their natural widths. The
+/// one CELL-at-`p` builder behind [`LiteForm::compose`] and the serving
+/// layer's fixed-count planners.
+pub fn compose_cell_at<T: AtomicScalar>(
+    csr: &CsrMatrix<T>,
+    p: usize,
+    j: usize,
+    tune_widths: bool,
+    profile: &mut PreprocessProfile,
+) -> (CellConfig, CellMatrix<T>) {
+    // Clamp up front: `p > cols` would otherwise desync the width
+    // vector length from the config's partition count.
+    let p = effective_partitions(csr.cols(), p);
+    let (widths, stats) =
+        StageStats::measure(|| tune_widths.then(|| optimal_widths_for_matrix(csr, p, j)));
+    profile.width_search = stats;
+    let config = CellConfig {
+        num_partitions: p,
+        max_widths: widths,
+        block_nnz_multiple: 4,
+        uniform_block_nnz: true,
+    };
+    let (cell, stats) =
+        StageStats::measure(|| build_cell(csr, &config).expect("clamped config is valid"));
+    profile.build = stats;
+    (config, cell)
 }
 
 /// What the composer decided.
@@ -396,27 +427,11 @@ impl LiteForm {
         }
 
         // 3. Partition count.
-        let (p, stats) = StageStats::measure(|| {
-            self.predictor
-                .predict(&partition_features)
-                .min(csr.cols().max(1))
-        });
+        let (p, stats) = StageStats::measure(|| self.predictor.predict(&partition_features));
         profile.partition_inference = stats;
 
-        // 4. Bucket widths per partition (Algorithm 3).
-        let (widths, stats) = StageStats::measure(|| optimal_widths_for_matrix(csr, p, j));
-        profile.width_search = stats;
-
-        // 5. Materialize.
-        let config = CellConfig {
-            num_partitions: p,
-            max_widths: Some(widths),
-            block_nnz_multiple: 4,
-            uniform_block_nnz: true,
-        };
-        let (cell, stats) =
-            StageStats::measure(|| build_cell(csr, &config).expect("validated config"));
-        profile.build = stats;
+        // 4–5. Bucket widths per partition (Algorithm 3), then materialize.
+        let (config, cell) = compose_cell_at(csr, p, j, true, &mut profile);
 
         CompositionPlan {
             kind: PlanKind::Cell { config, cell },

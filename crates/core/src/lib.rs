@@ -30,7 +30,9 @@ pub mod selector;
 pub mod training;
 
 pub use codec::{decode_plan, encode_plan, CodecError};
-pub use composer::{CompositionPlan, LiteForm, OverheadBreakdown, PlanKind, PreparedPlan};
+pub use composer::{
+    compose_cell_at, CompositionPlan, LiteForm, OverheadBreakdown, PlanKind, PreparedPlan,
+};
 pub use error::{panic_detail, LfError, LfResult};
 pub use predictor::PartitionPredictor;
 pub use pretrained::ModelBundle;

@@ -17,9 +17,9 @@
 //! whose admission evicted it. It goes into a byte-bounded pending map
 //! (bound: one shard's RAM slice), and one named background writer —
 //! not a pool worker, since it blocks in `fsync` — drains the map in
-//! batches: one record per queued plan, then one manifest rewrite per
-//! batch. Queued plans stay promotable: a RAM miss checks the queue
-//! before the disk and gets the evicted `Arc` back. The protocol:
+//! batches, one record per queued plan. Queued plans stay promotable: a
+//! RAM miss checks the queue before the disk and gets the evicted `Arc`
+//! back. The protocol:
 //!
 //! * an enqueue that would push the queue past its bound writes that
 //!   victim synchronously instead (back-pressure, never a drop), and
@@ -31,7 +31,7 @@
 //!   of those keys — before deleting from disk, so no retired or
 //!   poisoned record lands after its removal;
 //! * `flush_demotions` blocks until the queue is empty and its last
-//!   batch has rewritten the manifest; `snapshot` and `Drop` drain
+//!   batch has finished writing; `snapshot` and `Drop` drain
 //!   through it. A kill may lose queued demotions, never expose a torn
 //!   or stale record.
 //!
@@ -263,7 +263,7 @@ impl<T: AtomicScalar> Disk<T> {
     }
 
     /// Block until the queue is empty and the batch that emptied it has
-    /// rewritten the manifest (or until no writer runs).
+    /// finished writing (or until no writer runs).
     fn flush_demotions(&self) {
         let mut q = lock(&self.pending);
         while !q.map.is_empty() && !q.writer_gone {
@@ -300,8 +300,7 @@ impl<T: AtomicScalar> Disk<T> {
         }
     }
 
-    /// Write everything queued — one record each, skipping poisoned
-    /// slots — then the manifest once.
+    /// Write everything queued, one record each, skipping poisoned slots.
     fn write_batch(&self, counters: &Counters) {
         let _writing = lock(&self.writing);
         let batch: Vec<(Key, Arc<PlanSlot<T>>, u64)> = {
@@ -311,14 +310,12 @@ impl<T: AtomicScalar> Disk<T> {
                 .map(|(k, e)| (*k, Arc::clone(&e.slot), e.uses))
                 .collect()
         };
-        let mut wrote = false;
         for ((fp, j), slot, uses) in batch {
             let written = !slot.is_poisoned()
                 && self
                     .store
-                    .put_record(&fp, j, &slot.plan, slot.cost_ns, uses)
+                    .put(&fp, j, &slot.plan, slot.cost_ns, uses)
                     .is_ok();
-            wrote |= written;
             let mut q = lock(&self.pending);
             // Retirement, quarantine or a re-demotion may have taken the
             // key meanwhile; the accounting is theirs then.
@@ -332,10 +329,6 @@ impl<T: AtomicScalar> Disk<T> {
                     counters.settle_demotion(written, &e);
                 }
             }
-        }
-        if wrote {
-            // Advisory metadata: a failed rewrite loses use counts only.
-            let _ = self.store.write_manifest();
         }
         self.idle.notify_all();
     }
@@ -474,12 +467,11 @@ impl<T: AtomicScalar> PlanCache<T> {
         self.disk.as_ref().map(|d| &d.store)
     }
 
-    /// Persist every cached RAM plan to the disk tier and rewrite the
-    /// manifest. Returns the number of plans written (`Ok(0)` without a
-    /// store). Queued demotions drain through the writer first, never
-    /// here: writing them here would race it on the same keys. Poisoned
-    /// slots are skipped: a quarantined plan must never resurrect
-    /// through a snapshot.
+    /// Persist every cached RAM plan to the disk tier. Returns the number
+    /// of plans written (`Ok(0)` without a store). Queued demotions
+    /// drain through the writer first, never here: writing them here
+    /// would race it on the same keys. Poisoned slots are skipped: a
+    /// quarantined plan must never resurrect through a snapshot.
     pub(crate) fn snapshot(&self) -> LfResult<usize> {
         let Some(disk) = &self.disk else {
             return Ok(0);
@@ -496,25 +488,17 @@ impl<T: AtomicScalar> PlanCache<T> {
             }
         }
         for ((fp, j), slot, uses) in &plans {
-            disk.store
-                .put_record(fp, *j, &slot.plan, slot.cost_ns, *uses)?;
+            disk.store.put(fp, *j, &slot.plan, slot.cost_ns, *uses)?;
         }
-        disk.store.write_manifest()?;
         Ok(plans.len())
     }
 
     /// Block until every queued demotion has been written (or dropped,
-    /// if its write failed) and the manifest rewritten. A no-op without
-    /// a disk tier.
+    /// if its write failed). A no-op without a disk tier.
     pub(crate) fn flush_demotions(&self) {
         if let Some(disk) = &self.disk {
             disk.flush_demotions();
         }
-    }
-
-    /// The disk tier's placement-policy name, when a store is open.
-    pub(crate) fn store_policy(&self) -> Option<&'static str> {
-        self.store().map(|s| s.policy_name())
     }
 
     /// The cached plan for `key`, touching its recency. A poisoned entry

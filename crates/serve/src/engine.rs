@@ -170,30 +170,24 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
         }
     }
 
-    /// Persist every currently cached RAM plan to the disk tier and
-    /// rewrite the manifest — the snapshot a restart warms from. Queued
-    /// demotions are drained first ([`flush_demotions`](Self::flush_demotions)).
-    /// Returns the number of RAM plans written, or `Ok(0)` without a
-    /// store. Poisoned slots are skipped (a quarantined plan must never
-    /// resurrect through a snapshot).
+    /// Persist every currently cached RAM plan to the disk tier — the
+    /// snapshot a restart warms from. Queued demotions are drained first
+    /// ([`flush_demotions`](Self::flush_demotions)). Returns the number
+    /// of RAM plans written, or `Ok(0)` without a store. Poisoned slots
+    /// are skipped (a quarantined plan must never resurrect through a
+    /// snapshot).
     pub fn snapshot(&self) -> LfResult<usize> {
         self.cache.snapshot()
     }
 
     /// Block until every demotion queued so far has reached the disk
-    /// tier and the manifest is rewritten. Evicted plans are written by
-    /// a background writer, so the `demotions` and `evicted_bytes`
-    /// counters (and `store_bytes`) trail the evictions that cause them
-    /// until a flush. Dropping the engine flushes too; a process killed
-    /// before that may lose queued demotions, never a whole record. A
-    /// no-op without a store.
+    /// tier. Evicted plans are written by a background writer, so the
+    /// `demotions` and `evicted_bytes` counters (and `store_bytes`)
+    /// trail the evictions that cause them until a flush. Dropping the
+    /// engine flushes too; a process killed before that may lose queued
+    /// demotions, never a whole record. A no-op without a store.
     pub fn flush_demotions(&self) {
         self.cache.flush_demotions();
-    }
-
-    /// The disk tier's placement-policy name, when a store is open.
-    pub fn store_policy(&self) -> Option<&'static str> {
-        self.cache.store_policy()
     }
 
     /// The planner behind the engine.

@@ -85,7 +85,4 @@ pub use engine::{
 };
 pub use fingerprint::Fingerprint;
 pub use planner::{FixedCellPlanner, PinnedLiteForm, Planner, ResilientPlanner};
-pub use store::{
-    is_stale_epoch, CostAware, LruBytes, Placement, PlacementPolicy, PlanStore, RecordMeta,
-    StoreConfig, WarmLoads,
-};
+pub use store::{is_stale_epoch, Placement, PlanStore, RecordMeta, StoreConfig, WarmLoads};

@@ -13,12 +13,11 @@
 //! re-attempting compositions that keep failing.
 
 use crate::lock;
-use lf_cell::span::effective_partitions;
-use lf_cell::{build_cell, CellConfig};
-use lf_cost::search::optimal_widths_for_matrix;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sparse::{CsrMatrix, FormatFeatures};
-use liteform_core::{LfResult, LiteForm, PreparedPlan, PreprocessProfile, StageStats};
+use liteform_core::{
+    compose_cell_at, LfResult, LiteForm, PreparedPlan, PreprocessProfile, StageStats,
+};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -98,40 +97,14 @@ impl FixedCellPlanner {
             tune_widths: false,
         }
     }
-
-    /// Build CELL at the pinned count, recording the width-search and
-    /// build stages into `profile` — the one CELL-at-pinned-`p` builder
-    /// behind both this planner and [`PinnedLiteForm`].
-    fn compose<T: AtomicScalar>(
-        &self,
-        csr: &CsrMatrix<T>,
-        j: usize,
-        mut profile: PreprocessProfile,
-    ) -> PreparedPlan<T> {
-        // Clamp up front: `p > cols` would otherwise desync the width
-        // vector length from the config's partition count.
-        let p = effective_partitions(csr.cols(), self.partitions);
-        let (widths, stats) = StageStats::measure(|| {
-            self.tune_widths
-                .then(|| optimal_widths_for_matrix(csr, p, j))
-        });
-        profile.width_search = stats;
-        let config = CellConfig {
-            num_partitions: p,
-            max_widths: widths,
-            block_nnz_multiple: 4,
-            uniform_block_nnz: true,
-        };
-        let (cell, stats) =
-            StageStats::measure(|| build_cell(csr, &config).expect("clamped config is valid"));
-        profile.build = stats;
-        PreparedPlan::from_cell(config, cell, profile).with_tuned_j(j)
-    }
 }
 
 impl<T: AtomicScalar> Planner<T> for FixedCellPlanner {
     fn prepare(&self, csr: &CsrMatrix<T>, j: usize) -> LfResult<PreparedPlan<T>> {
-        Ok(self.compose(csr, j, PreprocessProfile::default()))
+        let mut profile = PreprocessProfile::default();
+        let (config, cell) =
+            compose_cell_at(csr, self.partitions, j, self.tune_widths, &mut profile);
+        Ok(PreparedPlan::from_cell(config, cell, profile).with_tuned_j(j))
     }
 
     fn name(&self) -> &'static str {
@@ -167,7 +140,8 @@ impl<T: AtomicScalar> Planner<T> for PinnedLiteForm {
         profile.feature_extraction = stats;
         let (_verdict, stats) = StageStats::measure(|| self.pipeline.selector.predict(&features));
         profile.selection_inference = stats;
-        Ok(FixedCellPlanner::tuned(self.partitions).compose(csr, j, profile))
+        let (config, cell) = compose_cell_at(csr, self.partitions, j, true, &mut profile);
+        Ok(PreparedPlan::from_cell(config, cell, profile).with_tuned_j(j))
     }
 
     fn name(&self) -> &'static str {

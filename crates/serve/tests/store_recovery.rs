@@ -6,7 +6,7 @@
 //! bitwise identical to a fresh compose; records that fail strict
 //! validation are skipped, counted, and recomposed — never served.
 //!
-//! The kill-point scenarios (mid-demotion, mid-manifest, mid-warm) are
+//! The kill-point scenarios (mid-demotion, mid-warm, demotions queued) are
 //! driven by seeded `lf_check::chaos` injection and compile only with
 //! `--features chaos`; the rest of the suite runs in tier 1. The chaos
 //! plan is process-global, so every test here serializes on one gate.
@@ -573,22 +573,22 @@ fn concurrent_puts_never_collide_on_temp_files() {
         placement: Placement::CostAware,
     })
     .unwrap();
-    // Two writers, 200 distinct small records each: every put publishes
-    // its record and rewrites the one manifest concurrently with the
-    // other writer's.
+    // Two writers put the same 200 small records: every record path is
+    // written by both, concurrently, so only the per-write temp names
+    // keep one writer from renaming the other's temp file away.
     const PER_THREAD: u64 = 200;
     let small = |seed: u64| {
         let mut rng = Pcg32::seed_from_u64(seed);
         CsrMatrix::<f64>::from_coo(&mixed_regions(32, 32, 96, 2, &mut rng))
     };
     let errors: Vec<String> = std::thread::scope(|scope| {
-        let writers: Vec<_> = (0..2u64)
-            .map(|t| {
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
                 let store = &store;
                 scope.spawn(move || {
                     (0..PER_THREAD)
                         .filter_map(|i| {
-                            let m = small(0xC0_0000 + t * PER_THREAD + i);
+                            let m = small(0xC0_0000 + i);
                             let fp = Fingerprint::of_csr(&m);
                             let plan = PreparedPlan::from_csr(m, PreprocessProfile::default())
                                 .with_tuned_j(8);
@@ -610,13 +610,13 @@ fn concurrent_puts_never_collide_on_temp_files() {
         errors.len(),
         errors.first()
     );
-    assert_eq!(store.records(), 2 * PER_THREAD as usize);
+    assert_eq!(store.records(), PER_THREAD as usize);
     drop(store);
 
     // Every record is on disk and passes full validation on warm.
     let e = engine(store_config(&dir));
     let s = e.stats();
-    assert_eq!(s.warm_loaded, 2 * PER_THREAD, "{s:?}");
+    assert_eq!(s.warm_loaded, PER_THREAD, "{s:?}");
     assert_eq!(s.warm_rejected, 0, "{s:?}");
     let stray = fs::read_dir(&dir)
         .unwrap()
@@ -989,6 +989,76 @@ fn wave_parallel_warm_matches_one_at_a_time_loading() {
     }
 }
 
+#[test]
+fn a_store_holds_only_records_and_a_restart_ranks_them_by_size() {
+    let _g = locked();
+    let dir = scratch("records-only");
+    let mats: Vec<CsrMatrix<f64>> = (0..5)
+        .map(|k| {
+            let mut rng = Pcg32::seed_from_u64(0x0DD0 + k as u64);
+            CsrMatrix::from_coo(&mixed_regions(128, 128, 1500 + 300 * k, 4, &mut rng))
+        })
+        .collect();
+    let fps: Vec<Fingerprint> = mats.iter().map(Fingerprint::of_csr).collect();
+    {
+        // Distinct sizes, costs and uses: the bigger a record, the dearer
+        // and the more used, so use counts and costs that outlived a
+        // restart would turn the cost-aware warm order around.
+        let store = open_store(&dir);
+        for (k, (m, fp)) in mats.iter().zip(&fps).take(4).enumerate() {
+            let plan = Planner::<f64>::prepare(&FixedCellPlanner::tuned(4), m, 8).unwrap();
+            let (cost_ns, uses) = ((k as u64 + 1) * 10_000_000, 3 * k as u64);
+            store.put(fp, 8, &plan, cost_ns, uses).unwrap();
+        }
+        store.remove(&fps[0], 8);
+    }
+    {
+        let e = engine(store_config(&dir));
+        assert_eq!(e.stats().warm_loaded, 3);
+        let mut rng = Pcg32::seed_from_u64(0x0DD5);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        e.serve(&mats[4], &b).unwrap();
+        assert_eq!(e.snapshot().unwrap(), 4);
+    }
+    let files: Vec<String> = fs::read_dir(&dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert_eq!(record_files(&dir).len(), 4, "{files:?}");
+    assert_eq!(files.len(), 4, "the store holds only records: {files:?}");
+
+    // A restart knows each record's size and nothing else: cost-aware
+    // placement warms the smallest first.
+    let mut want: Vec<((Fingerprint, usize), lf_serve::RecordMeta)> = fps[1..]
+        .iter()
+        .map(|fp| {
+            let bytes = fs::metadata(record_path(&dir, fp, 8)).unwrap().len();
+            let meta = lf_serve::RecordMeta {
+                bytes,
+                ..Default::default()
+            };
+            ((*fp, 8), meta)
+        })
+        .collect();
+    want.sort_by_key(|(_, meta)| meta.bytes);
+    assert!(
+        want.windows(2).all(|w| w[0].1.bytes < w[1].1.bytes),
+        "distinct record sizes"
+    );
+    assert_eq!(open_store(&dir).warm_order(), want);
+
+    // A file that is not a record is ignored at open and left alone.
+    let leftover = dir.join("manifest.lfm");
+    fs::write(&leftover, b"LFPM: not a record").unwrap();
+    let store = open_store(&dir);
+    assert_eq!(store.records(), 4);
+    assert_eq!(store.warm_order(), want);
+    assert!(leftover.exists());
+    drop(store);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 // ---------------------------------------------------------------------
 // Kill-point scenarios (chaos feature): a seeded fault tears the write
 // at each durability boundary; recovery must come up clean and serve
@@ -1110,39 +1180,6 @@ mod kill_points {
         assert!(kept.hit, "the written demotion warmed");
         assert_bitwise(&kept.result, &m2, "warmed after the kill");
         drop(e);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn kill_mid_manifest_keeps_committed_records_warm() {
-        let _g = locked();
-        let dir = scratch("kill-manifest");
-        let mut rng = Pcg32::seed_from_u64(0x2D2E);
-        let b = DenseMatrix::random(128, 8, &mut rng);
-        let a = matrix(62);
-
-        {
-            let e = engine(store_config(&dir));
-            e.serve(&a, &b).unwrap();
-            // The record commits; the manifest rewrite right after it
-            // tears. snapshot must report the failure...
-            chaos::install(always(ChaosSite::ManifestTorn));
-            let res = e.snapshot();
-            chaos::reset();
-            assert!(res.is_err(), "torn manifest write must surface");
-        } // "kill" between record rename and manifest publish
-
-        // ...but the record itself is durable: the manifest is advisory
-        // and directory scan is ground truth, so recovery still warms
-        // the plan — with default placement metadata at worst.
-        let e = engine(store_config(&dir));
-        let s = e.stats();
-        assert_eq!(s.warm_loaded, 1, "committed record lost: {s:?}");
-        assert_eq!(s.warm_rejected, 0, "{s:?}");
-        let out = e.serve(&a, &b).unwrap();
-        assert!(out.hit, "recovered record must serve as a hit");
-        assert_reference(&out.result, &a, &b, "recovered record");
-        assert_stored_plan_is_fresh(&dir, &a, "recovered record");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -8,6 +8,11 @@
 # so a deleted or private item that a doc comment still links to fails
 # the gate instead of rendering as a dead link.
 #
+# The servebench stage type-checks the serving benchmark (its own package
+# under servebench/, built against the public APIs only), so a change
+# that removes or renames an item the benchmark uses fails here, not
+# only when the benchmark itself is built.
+#
 # Optional tiers:
 #   --bench   appends a seconds-scale benchmark smoke (bench_spmm,
 #             bench_serve, and bench_update, all --quick at reduced
@@ -52,12 +57,11 @@
 #             asserting no deadlocks, no wrong bytes, the exact outcome
 #             ledger, and an achieved fault rate of >= 5% of requests —
 #             the plan-store kill-and-restart scenarios (torn demotion,
-#             torn manifest, aborted warm, kill with demotions queued)
-#             asserting recovery never
-#             serves wrong bytes, and the mid-update kill scenarios
-#             (torn update commit, aborted epoch sweep, stale disk
-#             record surviving a crash) asserting the handle and both
-#             cache tiers stay on exactly one epoch.
+#             aborted warm, kill with demotions queued) asserting
+#             recovery never serves wrong bytes, and the mid-update kill
+#             scenarios (torn update commit, aborted epoch sweep, stale
+#             disk record surviving a crash) asserting the handle and
+#             both cache tiers stay on exactly one epoch.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -92,6 +96,9 @@ cargo run -q -p lf-check --bin lint
 
 echo "==> rustdoc -D warnings (no dangling or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
+echo "==> servebench builds against the public APIs (cargo check)"
+cargo check --offline --manifest-path servebench/Cargo.toml
 
 if [[ "$RUN_BENCH" == "1" ]]; then
   echo "==> bench smoke (bench_spmm --quick)"
