@@ -118,7 +118,7 @@ const POOL_PANIC: LockClass = LockClass {
 /// Functions that hand work to the thread pool; reaching one while
 /// holding any serving lock nests the pool's job mutexes under it —
 /// the "cache shard → never pool job mutex" edge of the hierarchy.
-const POOL_ENTRIES: [&str; 10] = [
+const POOL_ENTRIES: [&str; 12] = [
     "parallel_for",
     "parallel_for_init",
     "parallel_map",
@@ -127,6 +127,8 @@ const POOL_ENTRIES: [&str; 10] = [
     "wait_idle",
     "run_tiled",
     "run_batched",
+    "run_batched_on",
+    "parallel_csr_spmm_tiled",
     "run_forced_atomic",
     "spmm_reference",
 ];

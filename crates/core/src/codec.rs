@@ -108,6 +108,9 @@ pub enum CodecError {
     /// Degraded fallback plans are never persisted: they exist only to
     /// answer one request while the real composition is unavailable.
     DegradedPlan,
+    /// A fixed-CSR verdict holds no operand, so there is nothing to
+    /// encode or reconstruct: it runs over the request's own matrix.
+    NoOperand,
 }
 
 impl std::fmt::Display for CodecError {
@@ -131,6 +134,9 @@ impl std::fmt::Display for CodecError {
             CodecError::BadField(what) => write!(f, "plan record field rejected: {what}"),
             CodecError::DegradedPlan => {
                 write!(f, "degraded fallback plans are never encoded")
+            }
+            CodecError::NoOperand => {
+                write!(f, "a fixed-CSR verdict holds no operand to encode")
             }
         }
     }
@@ -412,7 +418,8 @@ const KIND_CSR: u8 = 1;
 /// Encode a plan into a self-contained, checksummed record.
 ///
 /// Degraded fallback plans are refused ([`CodecError::DegradedPlan`]):
-/// they are one-request stand-ins the cache itself never admits.
+/// they are one-request stand-ins the cache itself never admits. So are
+/// fixed-CSR verdicts ([`CodecError::NoOperand`]): they hold no operand.
 pub fn encode_plan<T: AtomicScalar>(plan: &PreparedPlan<T>) -> Result<Vec<u8>, CodecError> {
     if plan.degraded {
         return Err(CodecError::DegradedPlan);
@@ -449,6 +456,7 @@ pub fn encode_plan<T: AtomicScalar>(plan: &PreparedPlan<T>) -> Result<Vec<u8>, C
                 }
             }
         }
+        PreparedKernel::CsrVerdict { .. } => return Err(CodecError::NoOperand),
         PreparedKernel::FixedCsr(kernel) => {
             w.u8(KIND_CSR);
             encode_common(&mut w, plan.tuned_j, tile, plan.epoch);
@@ -839,9 +847,9 @@ mod tests {
             assert_eq!(trailer, crc32_bytewise(&r[..r.len() - 4]));
         }
         let cell = decode_plan::<f64>(&records[1]).expect("golden CELL decodes");
-        assert_eq!(cell.reconstruct_csr(), golden_csr::<f64>());
+        assert_eq!(cell.reconstruct_csr(), Ok(golden_csr::<f64>()));
         let csr = decode_plan::<f32>(&records[2]).expect("golden CSR decodes");
-        assert_eq!(csr.reconstruct_csr(), golden_csr::<f32>());
+        assert_eq!(csr.reconstruct_csr(), Ok(golden_csr::<f32>()));
     }
 
     #[test]

@@ -6,10 +6,10 @@ use crate::selector::FormatSelector;
 use lf_cell::{build_cell, effective_partitions, CellConfig, CellMatrix};
 use lf_cost::search::optimal_widths_for_matrix;
 use lf_cost::tile::{plan_tile, TileFeatures};
-use lf_kernels::{CellKernel, CsrVectorKernel, SpmmKernel, TileParams};
+use lf_kernels::{parallel_csr_spmm_tiled, CellKernel, CsrVectorKernel, SpmmKernel, TileParams};
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::{DeviceModel, KernelProfile};
-use lf_sparse::{CsrMatrix, DenseMatrix, FormatFeatures, PartitionFeatures, Result};
+use lf_sparse::{CsrMatrix, DenseMatrix, FormatFeatures, PartitionFeatures, Result, SparseError};
 use serde::{Deserialize, Serialize};
 
 /// Where LiteForm's (real, wall-clock) construction time went — the
@@ -106,9 +106,29 @@ impl<T: AtomicScalar> CompositionPlan<T> {
     /// Finish the plan into its executable form: bind the chosen kernel
     /// to its operand so the plan can run against any number of dense
     /// operands without re-running selection, width search, or
-    /// construction. `csr` is only cloned on the fixed-CSR path (the
-    /// CELL path moves the already-built buckets into the kernel).
+    /// construction. The CELL path moves the already-built buckets into
+    /// the kernel; the fixed-CSR path clones `csr` into the plan.
     pub fn into_prepared(self, csr: &CsrMatrix<T>, tuned_j: usize) -> PreparedPlan<T> {
+        self.finish(csr, tuned_j, |tile| {
+            PreparedKernel::FixedCsr(CsrVectorKernel::new(csr.clone()).with_tile(tile))
+        })
+    }
+
+    /// [`into_prepared`](Self::into_prepared) without the copy: a
+    /// fixed-CSR decision becomes a verdict that holds no operand (see
+    /// [`PreparedPlan::csr_verdict`]). The form the serving layer caches.
+    pub fn into_served(self, csr: &CsrMatrix<T>, tuned_j: usize) -> PreparedPlan<T> {
+        self.finish(csr, tuned_j, |_| PreparedKernel::CsrVerdict {
+            shape: csr.shape(),
+        })
+    }
+
+    fn finish(
+        self,
+        csr: &CsrMatrix<T>,
+        tuned_j: usize,
+        fixed_csr: impl FnOnce(TileParams) -> PreparedKernel<T>,
+    ) -> PreparedPlan<T> {
         let features = TileFeatures::new(csr.rows(), csr.nnz(), std::mem::size_of::<T>());
         let tile = plan_tile(features, tuned_j.max(1));
         let kernel = match self.kind {
@@ -116,9 +136,7 @@ impl<T: AtomicScalar> CompositionPlan<T> {
                 config,
                 kernel: CellKernel::tiled(cell, tile),
             },
-            PlanKind::FixedCsr => {
-                PreparedKernel::FixedCsr(CsrVectorKernel::new(csr.clone()).with_tile(tile))
-            }
+            PlanKind::FixedCsr => fixed_csr(tile),
         };
         PreparedPlan {
             kernel,
@@ -138,16 +156,38 @@ pub(crate) enum PreparedKernel<T: AtomicScalar> {
         config: CellConfig,
         kernel: CellKernel<T>,
     },
+    /// Fixed CSR over the plan's own copy of its operand.
     FixedCsr(CsrVectorKernel<T>),
+    /// Fixed CSR with no operand: the selector's verdict alone, run over
+    /// the operand each execute is handed.
+    CsrVerdict { shape: (usize, usize) },
+}
+
+/// What a fixed-CSR verdict holds — the operand's shape, its execution
+/// tile, tuned width, tile features and epoch — and so the bytes the
+/// serving layer's budget charges for one.
+const VERDICT_BYTES: usize = std::mem::size_of::<(usize, usize)>()
+    + std::mem::size_of::<TileParams>()
+    + std::mem::size_of::<usize>()
+    + std::mem::size_of::<TileFeatures>()
+    + std::mem::size_of::<u64>();
+
+/// The error of executing a verdict with no operand to run over.
+fn no_operand() -> SparseError {
+    SparseError::InvalidConfig(
+        "a fixed-CSR verdict holds no operand: run it with `run_batched_on`".to_string(),
+    )
 }
 
 /// The executable half of a composition: the chosen kernel with its
-/// operand already materialized in the chosen format.
+/// operand already materialized in the chosen format — or, for a
+/// fixed-CSR **verdict**, the decision alone, run over the caller's
+/// operand.
 ///
 /// This is the unit the serving layer (`lf-serve`) caches and reuses:
 /// building one pays the full Figure-2 pipeline once (recorded in
 /// [`PreparedPlan::overhead`] / [`PreparedPlan::profile`]); every
-/// subsequent [`PreparedPlan::run`] is a pure kernel execution with no
+/// subsequent execute is a pure kernel execution with no
 /// re-validation, feature extraction, or construction cost.
 pub struct PreparedPlan<T: AtomicScalar> {
     pub(crate) kernel: PreparedKernel<T>,
@@ -178,16 +218,16 @@ pub struct PreparedPlan<T: AtomicScalar> {
 }
 
 impl<T: AtomicScalar> PreparedPlan<T> {
-    /// Wrap an already-built CELL matrix (used by planners that bypass
-    /// the trained pipeline, e.g. fixed-configuration serving).
-    pub fn from_cell(config: CellConfig, cell: CellMatrix<T>, profile: PreprocessProfile) -> Self {
-        let features = TileFeatures::new(cell.rows(), cell.nnz(), std::mem::size_of::<T>());
+    /// A plan around `kernel` with no composition behind it, its tile
+    /// planned for `features` at width 1.
+    fn bind(
+        kernel: impl FnOnce(TileParams) -> PreparedKernel<T>,
+        features: TileFeatures,
+        profile: PreprocessProfile,
+    ) -> Self {
         let tile = plan_tile(features, 1);
         PreparedPlan {
-            kernel: PreparedKernel::Cell {
-                config,
-                kernel: CellKernel::tiled(cell, tile),
-            },
+            kernel: kernel(tile),
             tuned_j: 0,
             features,
             tile,
@@ -198,20 +238,48 @@ impl<T: AtomicScalar> PreparedPlan<T> {
         }
     }
 
-    /// Wrap a fixed-CSR execution (no composition).
+    /// Wrap an already-built CELL matrix (used by planners that bypass
+    /// the trained pipeline, e.g. fixed-configuration serving).
+    pub fn from_cell(config: CellConfig, cell: CellMatrix<T>, profile: PreprocessProfile) -> Self {
+        let features = TileFeatures::new(cell.rows(), cell.nnz(), std::mem::size_of::<T>());
+        let kernel = |tile| PreparedKernel::Cell {
+            config,
+            kernel: CellKernel::tiled(cell, tile),
+        };
+        Self::bind(kernel, features, profile)
+    }
+
+    /// Wrap a fixed-CSR execution (no composition) that owns its operand.
     pub fn from_csr(csr: CsrMatrix<T>, profile: PreprocessProfile) -> Self {
         let features = TileFeatures::new(csr.rows(), csr.nnz(), std::mem::size_of::<T>());
-        let tile = plan_tile(features, 1);
-        PreparedPlan {
-            kernel: PreparedKernel::FixedCsr(CsrVectorKernel::new(csr).with_tile(tile)),
-            tuned_j: 0,
-            features,
-            tile,
-            overhead: profile.overhead(),
-            profile,
-            degraded: false,
-            epoch: 0,
+        let kernel = |tile| PreparedKernel::FixedCsr(CsrVectorKernel::new(csr).with_tile(tile));
+        Self::bind(kernel, features, profile)
+    }
+
+    /// The fixed-CSR **verdict** for `csr`: the decision to stay on CSR,
+    /// with the operand's shape and tile features but no copy of the
+    /// operand. It executes only through
+    /// [`run_batched_on`](Self::run_batched_on), over the operand the
+    /// caller already holds, and is charged [`format_bytes`] of tens of
+    /// bytes.
+    ///
+    /// [`format_bytes`]: Self::format_bytes
+    pub fn csr_verdict(csr: &CsrMatrix<T>, profile: PreprocessProfile) -> Self {
+        let features = TileFeatures::new(csr.rows(), csr.nnz(), std::mem::size_of::<T>());
+        let shape = csr.shape();
+        Self::bind(|_| PreparedKernel::CsrVerdict { shape }, features, profile)
+    }
+
+    /// Drop a fixed-CSR plan's copy of its operand, leaving its verdict
+    /// (same tile, tuned width, epoch and profile). CELL plans and
+    /// verdicts come back unchanged.
+    pub fn into_verdict(mut self) -> Self {
+        if let PreparedKernel::FixedCsr(kernel) = &self.kernel {
+            self.kernel = PreparedKernel::CsrVerdict {
+                shape: kernel.shape(),
+            };
         }
+        self
     }
 
     /// Set the width the plan was tuned for (builder style). Re-plans the
@@ -225,6 +293,7 @@ impl<T: AtomicScalar> PreparedPlan<T> {
                 kernel: kernel.with_tile(self.tile),
             },
             PreparedKernel::FixedCsr(k) => PreparedKernel::FixedCsr(k.with_tile(self.tile)),
+            verdict @ PreparedKernel::CsrVerdict { .. } => verdict,
         };
         self
     }
@@ -248,11 +317,13 @@ impl<T: AtomicScalar> PreparedPlan<T> {
         self
     }
 
-    /// The bound kernel as a trait object (name, shape, launches, ...).
-    pub fn kernel(&self) -> &dyn SpmmKernel<T> {
+    /// The bound kernel as a trait object (name, shape, launches, ...);
+    /// `None` for a fixed-CSR verdict, which binds no operand.
+    pub fn kernel(&self) -> Option<&dyn SpmmKernel<T>> {
         match &self.kernel {
-            PreparedKernel::Cell { kernel, .. } => kernel,
-            PreparedKernel::FixedCsr(kernel) => kernel,
+            PreparedKernel::Cell { kernel, .. } => Some(kernel),
+            PreparedKernel::FixedCsr(kernel) => Some(kernel),
+            PreparedKernel::CsrVerdict { .. } => None,
         }
     }
 
@@ -261,11 +332,17 @@ impl<T: AtomicScalar> PreparedPlan<T> {
         matches!(self.kernel, PreparedKernel::Cell { .. })
     }
 
+    /// `true` when the plan is a fixed-CSR verdict with no operand of
+    /// its own (see [`PreparedPlan::csr_verdict`]).
+    pub fn is_verdict(&self) -> bool {
+        matches!(self.kernel, PreparedKernel::CsrVerdict { .. })
+    }
+
     /// The CELL configuration, when the plan composes CELL.
     pub fn cell_config(&self) -> Option<&CellConfig> {
         match &self.kernel {
             PreparedKernel::Cell { config, .. } => Some(config),
-            PreparedKernel::FixedCsr(_) => None,
+            _ => None,
         }
     }
 
@@ -276,35 +353,45 @@ impl<T: AtomicScalar> PreparedPlan<T> {
     pub fn cell(&self) -> Option<&CellMatrix<T>> {
         match &self.kernel {
             PreparedKernel::Cell { kernel, .. } => Some(kernel.cell()),
-            PreparedKernel::FixedCsr(_) => None,
+            _ => None,
         }
     }
 
     /// Shape `(rows, cols)` of the sparse operand.
     pub fn shape(&self) -> (usize, usize) {
-        self.kernel().shape()
-    }
-
-    /// Device bytes retained by the plan's sparse operand in its chosen
-    /// format — the quantity the serving layer's byte budget charges.
-    pub fn format_bytes(&self) -> usize {
-        self.kernel().format_bytes()
-    }
-
-    /// Reconstruct the CSR operand the plan was composed from. Lossless
-    /// on both paths (CELL ↔ CSR conversion is a tested property), so
-    /// the serving layer's disk tier can re-derive a decoded record's
-    /// fingerprint and prove it still describes the matrix it claims to.
-    pub fn reconstruct_csr(&self) -> CsrMatrix<T> {
         match &self.kernel {
-            PreparedKernel::Cell { kernel, .. } => kernel.cell().to_csr(),
-            PreparedKernel::FixedCsr(kernel) => kernel.csr().clone(),
+            PreparedKernel::Cell { kernel, .. } => kernel.shape(),
+            PreparedKernel::FixedCsr(kernel) => kernel.shape(),
+            PreparedKernel::CsrVerdict { shape } => *shape,
         }
     }
 
-    /// Execute `C = A · B` with the prebuilt kernel.
+    /// Bytes the plan retains: its sparse operand in the chosen format,
+    /// or a verdict's own few fields — the quantity the serving layer's
+    /// byte budget charges.
+    pub fn format_bytes(&self) -> usize {
+        self.kernel().map_or(VERDICT_BYTES, |k| k.format_bytes())
+    }
+
+    /// Reconstruct the CSR operand the plan was composed from. Lossless
+    /// on both operand-holding paths (CELL ↔ CSR conversion is a tested
+    /// property), so the serving layer's disk tier can re-derive a
+    /// decoded record's fingerprint and prove it still describes the
+    /// matrix it claims to. A verdict holds no operand
+    /// ([`CodecError::NoOperand`](crate::CodecError::NoOperand)).
+    pub fn reconstruct_csr(&self) -> std::result::Result<CsrMatrix<T>, crate::CodecError> {
+        match &self.kernel {
+            PreparedKernel::Cell { kernel, .. } => Ok(kernel.cell().to_csr()),
+            PreparedKernel::FixedCsr(kernel) => Ok(kernel.csr().clone()),
+            PreparedKernel::CsrVerdict { .. } => Err(crate::CodecError::NoOperand),
+        }
+    }
+
+    /// Execute `C = A · B` with the prebuilt kernel. A verdict has no
+    /// `A` of its own and returns an error: run it with
+    /// [`run_batched_on`](Self::run_batched_on).
     pub fn run(&self, b: &DenseMatrix<T>) -> Result<DenseMatrix<T>> {
-        self.kernel().run(b)
+        self.execute(None, b, self.tile)
     }
 
     /// Execute one **fused** SpMM over several dense operands that share
@@ -313,7 +400,8 @@ impl<T: AtomicScalar> PreparedPlan<T> {
     /// traversal across all of them — the wide-operand observation the
     /// serving layer's request coalescing is built on), the kernel runs
     /// once at the fused width, and the wide result is scattered back
-    /// into one output per operand, in order.
+    /// into one output per operand, in order. A verdict returns an
+    /// error, as in [`run`](Self::run).
     ///
     /// Each output column sees exactly the accumulation it would see in
     /// a solo [`PreparedPlan::run`]: fusing changes which columns ride
@@ -332,13 +420,42 @@ impl<T: AtomicScalar> PreparedPlan<T> {
     /// changes a column's reduction order, so the bitwise guarantee
     /// above is unaffected.
     pub fn run_batched(&self, bs: &[&DenseMatrix<T>]) -> Result<Vec<DenseMatrix<T>>> {
+        self.batched(None, bs)
+    }
+
+    /// [`run_batched`](Self::run_batched) for the serving engine, which
+    /// holds the request's own copy of the sparse matrix: both CSR forms
+    /// (a verdict, or a plan holding its copy) run over `operand`, CELL
+    /// plans run over their buckets and ignore it. `operand` must have
+    /// the plan's shape. Outputs are bitwise those of `run_batched` on a
+    /// plan holding `operand`.
+    pub fn run_batched_on(
+        &self,
+        operand: &CsrMatrix<T>,
+        bs: &[&DenseMatrix<T>],
+    ) -> Result<Vec<DenseMatrix<T>>> {
+        if operand.shape() != self.shape() {
+            return Err(SparseError::DimensionMismatch {
+                op: "plan operand",
+                lhs: self.shape(),
+                rhs: operand.shape(),
+            });
+        }
+        self.batched(Some(operand), bs)
+    }
+
+    fn batched(
+        &self,
+        operand: Option<&CsrMatrix<T>>,
+        bs: &[&DenseMatrix<T>],
+    ) -> Result<Vec<DenseMatrix<T>>> {
         match bs {
             [] => Ok(Vec::new()),
-            [only] => Ok(vec![self.run(only)?]),
+            [only] => Ok(vec![self.execute(operand, only, self.tile)?]),
             _ => {
                 let wide = lf_kernels::concat_columns(bs)?;
                 let tile = plan_tile(self.features, wide.cols().max(1));
-                let c = self.run_with(&wide, tile)?;
+                let c = self.execute(operand, &wide, tile)?;
                 let widths: Vec<usize> = bs.iter().map(|b| b.cols()).collect();
                 lf_kernels::scatter_columns(&c, &widths)
             }
@@ -346,24 +463,33 @@ impl<T: AtomicScalar> PreparedPlan<T> {
     }
 
     /// Execute with an explicit execution tile (fused runs re-plan at
-    /// the fused width).
-    fn run_with(&self, b: &DenseMatrix<T>, tile: TileParams) -> Result<DenseMatrix<T>> {
-        match &self.kernel {
-            PreparedKernel::Cell { kernel, .. } => kernel.run_tiled(b, tile),
-            PreparedKernel::FixedCsr(kernel) => kernel.run_tiled(b, tile),
+    /// the fused width). CSR forms run over `operand` when one is given.
+    fn execute(
+        &self,
+        operand: Option<&CsrMatrix<T>>,
+        b: &DenseMatrix<T>,
+        tile: TileParams,
+    ) -> Result<DenseMatrix<T>> {
+        match (&self.kernel, operand) {
+            (PreparedKernel::Cell { kernel, .. }, _) => kernel.run_tiled(b, tile),
+            (_, Some(csr)) => parallel_csr_spmm_tiled(csr, b, tile),
+            (PreparedKernel::FixedCsr(kernel), None) => kernel.run_tiled(b, tile),
+            (PreparedKernel::CsrVerdict { .. }, None) => Err(no_operand()),
         }
     }
 
-    /// Simulated kernel profile for a dense operand of `j` columns.
-    pub fn kernel_profile(&self, j: usize, device: &DeviceModel) -> KernelProfile {
-        self.kernel().profile(j, device)
+    /// Simulated kernel profile for a dense operand of `j` columns;
+    /// `None` for a verdict, whose traffic is that of the operand it is
+    /// run over.
+    pub fn kernel_profile(&self, j: usize, device: &DeviceModel) -> Option<KernelProfile> {
+        self.kernel().map(|k| k.profile(j, device))
     }
 }
 
 impl<T: AtomicScalar> std::fmt::Debug for PreparedPlan<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PreparedPlan")
-            .field("kernel", &self.kernel().name())
+            .field("kernel", &self.kernel().map_or("csr-verdict", |k| k.name()))
             .field("shape", &self.shape())
             .field("tuned_j", &self.tuned_j)
             .field("tile", &self.tile)
@@ -443,7 +569,9 @@ impl LiteForm {
     /// Run the Figure-2 pipeline and bind the result to its kernel: the
     /// plan-build half of the build/execute split. The returned
     /// [`PreparedPlan`] can run against any conforming `B` without
-    /// re-paying composition (the serving layer caches exactly this).
+    /// re-paying composition. A fixed-CSR plan holds a copy of `csr`;
+    /// the serving layer caches the copy-free form instead
+    /// ([`CompositionPlan::into_served`]).
     pub fn prepare<T: AtomicScalar>(&self, csr: &CsrMatrix<T>, j: usize) -> PreparedPlan<T> {
         self.compose(csr, j).into_prepared(csr, j)
     }
@@ -457,14 +585,19 @@ impl LiteForm {
     ) -> Result<(DenseMatrix<T>, KernelProfile, OverheadBreakdown)> {
         let plan = self.prepare(csr, b.cols());
         let c = plan.run(b)?;
-        let profile = plan.kernel_profile(b.cols(), &self.device);
+        let profile = plan
+            .kernel_profile(b.cols(), &self.device)
+            .ok_or_else(no_operand)?;
         Ok((c, profile, plan.overhead))
     }
 
     /// Simulated kernel time of whatever the pipeline picks (no numeric
     /// execution) — the quantity the evaluation harnesses sweep.
     pub fn simulated_time_ms<T: AtomicScalar>(&self, csr: &CsrMatrix<T>, j: usize) -> f64 {
-        self.prepare(csr, j).kernel_profile(j, &self.device).time_ms
+        self.prepare(csr, j)
+            .kernel_profile(j, &self.device)
+            .expect("`prepare` binds its operand")
+            .time_ms
     }
 }
 
@@ -592,7 +725,7 @@ mod tests {
             let want = csr.spmm_reference(&b).unwrap();
             assert!(c.approx_eq(&want, 1e-3), "j={j}");
         }
-        assert!(plan.kernel_profile(64, &lf.device).time_ms > 0.0);
+        assert!(plan.kernel_profile(64, &lf.device).unwrap().time_ms > 0.0);
     }
 
     #[test]

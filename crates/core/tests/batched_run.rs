@@ -4,7 +4,9 @@
 //! [`PreparedPlan::run`], across the fuzzer's structure classes and
 //! degenerate member widths (J=0, J=1), on both kernel paths
 //! (single-partition CELL and fixed CSR — the single-writer regimes the
-//! serving layer's determinism contract covers).
+//! serving layer's determinism contract covers). A fixed-CSR verdict,
+//! which holds no operand, must match them through
+//! [`PreparedPlan::run_batched_on`].
 
 use lf_cell::{build_cell, CellConfig};
 use lf_sparse::gen::fuzz_case;
@@ -119,4 +121,93 @@ fn batched_degenerate_shapes() {
         let bad = DenseMatrix::<f64>::zeros(cols + 1, 3);
         assert!(plan.run_batched(&[&b, &bad]).is_err());
     }
+}
+
+#[test]
+fn verdicts_run_over_the_operand_they_are_handed() {
+    let mut checked = 0usize;
+    for seed in 0..24u64 {
+        let case = fuzz_case::<f64>(seed);
+        if case.malformed {
+            continue;
+        }
+        let (csr, j) = (&case.csr, case.j);
+        let mut rng = Pcg32::seed_from_u64(0x7E4D + seed);
+        let bs: Vec<DenseMatrix<f64>> = [j, 0, 1, j]
+            .iter()
+            .map(|&w| DenseMatrix::random(csr.cols(), w, &mut rng))
+            .collect();
+        let refs: Vec<&DenseMatrix<f64>> = bs.iter().collect();
+        let owned = PreparedPlan::from_csr(csr.clone(), PreprocessProfile::default())
+            .with_tuned_j(j)
+            .with_epoch(4);
+        let want: Vec<Vec<u64>> = owned.run_batched(&refs).unwrap().iter().map(bits).collect();
+        let verdict = PreparedPlan::csr_verdict(csr, PreprocessProfile::default()).with_tuned_j(j);
+        let dropped = PreparedPlan::from_csr(csr.clone(), PreprocessProfile::default())
+            .with_tuned_j(j)
+            .with_epoch(4)
+            .into_verdict();
+        assert_eq!(dropped.epoch, 4, "into_verdict keeps the epoch");
+        assert_eq!(dropped.tile_params(), owned.tile_params());
+        for (name, plan) in [
+            ("verdict", &verdict),
+            ("dropped", &dropped),
+            ("owned", &owned),
+        ] {
+            let got: Vec<Vec<u64>> = plan
+                .run_batched_on(csr, &refs)
+                .unwrap()
+                .iter()
+                .map(bits)
+                .collect();
+            assert_eq!(got, want, "seed {seed} ({}) {name}", case.label);
+        }
+        for plan in [&verdict, &dropped] {
+            assert!(plan.is_verdict() && !plan.uses_cell());
+            assert_eq!(plan.shape(), csr.shape());
+            assert!(plan.format_bytes() > 0 && plan.format_bytes() < 128);
+            // No operand of its own: the operand-free entry points refuse.
+            assert!(plan.run(&bs[0]).is_err());
+            assert!(plan.run_batched(&refs).is_err());
+        }
+        // A CELL plan runs over its buckets whatever operand it is handed.
+        let (_, cell) = plans(csr, j).swap_remove(0);
+        let zeroed = CsrMatrix::<f64>::empty(csr.rows(), csr.cols());
+        let got: Vec<Vec<u64>> = cell
+            .run_batched_on(&zeroed, &refs)
+            .unwrap()
+            .iter()
+            .map(bits)
+            .collect();
+        let own: Vec<Vec<u64>> = cell.run_batched(&refs).unwrap().iter().map(bits).collect();
+        assert_eq!(got, own, "seed {seed}: a CELL plan ignores the operand");
+        // An operand of another shape is a typed error.
+        let other = CsrMatrix::<f64>::empty(csr.rows() + 1, csr.cols());
+        assert!(verdict.run_batched_on(&other, &refs).is_err());
+        checked += 1;
+    }
+    assert!(checked >= 15, "fuzzer must yield enough well-formed cases");
+}
+
+#[test]
+fn a_csr_plan_holding_a_copy_runs_over_the_handed_operand() {
+    // Same shape, different matrix: both CSR forms compute the handed
+    // operand's product, never the copy's.
+    let a = fuzz_case::<f64>(1);
+    assert!(!a.malformed);
+    let mut rng = Pcg32::seed_from_u64(0xC0FF);
+    let other = CsrMatrix::from_coo(&lf_sparse::gen::uniform_random(
+        a.csr.rows(),
+        a.csr.cols(),
+        a.csr.nnz().max(1),
+        &mut rng,
+    ));
+    let b = DenseMatrix::random(a.csr.cols(), 7, &mut rng);
+    let plan = PreparedPlan::from_csr(a.csr.clone(), PreprocessProfile::default()).with_tuned_j(7);
+    let got = plan.run_batched_on(&other, &[&b]).unwrap();
+    assert_eq!(bits(&got[0]), bits(&other.spmm_reference(&b).unwrap()));
+    assert_eq!(
+        bits(&plan.run(&b).unwrap()),
+        bits(&a.csr.spmm_reference(&b).unwrap())
+    );
 }

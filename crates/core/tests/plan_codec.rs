@@ -193,6 +193,17 @@ fn degraded_plans_are_refused_by_the_encoder() {
 }
 
 #[test]
+fn verdicts_are_refused_by_the_encoder_and_reconstruction() {
+    let case = fuzz_case::<f64>(2);
+    assert!(!case.malformed);
+    let verdict = PreparedPlan::csr_verdict(&case.csr, PreprocessProfile::default());
+    assert!(matches!(encode_plan(&verdict), Err(CodecError::NoOperand)));
+    assert_eq!(verdict.reconstruct_csr(), Err(CodecError::NoOperand));
+    let dropped = PreparedPlan::from_csr(case.csr, PreprocessProfile::default()).into_verdict();
+    assert!(matches!(encode_plan(&dropped), Err(CodecError::NoOperand)));
+}
+
+#[test]
 fn every_truncation_is_a_typed_error() {
     let record = sample_record();
     // Every prefix, including the empty one, must fail typed — the

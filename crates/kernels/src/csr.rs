@@ -10,12 +10,14 @@ use lf_sim::parallel::{default_workers, parallel_for, DisjointSlice};
 use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
 use lf_sparse::{CsrMatrix, DenseMatrix, Result, SparseError};
 
-/// Row-parallel CSR SpMM with an explicit execution tile. Each output
-/// row has exactly one writer, so workers stream each row straight into
-/// their disjoint `C` row through the shared microkernel — no atomics,
-/// no per-row scratch. Per-element accumulation order is ascending-k in
-/// every lane mode, so all modes are bitwise identical.
-pub(crate) fn parallel_csr_spmm_tiled<T: AtomicScalar>(
+/// Row-parallel CSR SpMM with an explicit execution tile, over a
+/// borrowed operand. Each output row has exactly one writer, so workers
+/// stream each row straight into their disjoint `C` row through the
+/// shared microkernel — no atomics, no per-row scratch. Per-element
+/// accumulation order is ascending-k in every lane mode, so all modes
+/// are bitwise identical. Every CSR kernel's numeric path is this loop;
+/// a fixed-CSR verdict runs it over the request's own matrix.
+pub fn parallel_csr_spmm_tiled<T: AtomicScalar>(
     csr: &CsrMatrix<T>,
     b: &DenseMatrix<T>,
     tile: TileParams,

@@ -42,7 +42,9 @@ pub mod taco;
 pub use batch::{concat_columns, scatter_columns, scatter_crossover};
 pub use bcsr::BcsrKernel;
 pub use cell::CellKernel;
-pub use csr::{CsrScalarKernel, CsrVectorKernel, DgSparseKernel, SputnikKernel};
+pub use csr::{
+    parallel_csr_spmm_tiled, CsrScalarKernel, CsrVectorKernel, DgSparseKernel, SputnikKernel,
+};
 pub use ellpack::EllKernel;
 pub use sell::SellKernel;
 pub use simd::{dispatched_lanes, stream_row, Lanes, TileParams, MAX_K_BLOCK};

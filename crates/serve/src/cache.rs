@@ -41,16 +41,19 @@
 //! ## Which plans demote
 //!
 //! Only CELL plans. A record pays back only when reading it is cheaper
-//! than composing the plan again. A fixed-CSR plan is a copy of the
-//! operand the request already holds: recomposing it costs about
-//! 0.09 ms, reading its record back about 0.44 ms and writing it
-//! 0.84–1.0 ms. An evicted CSR plan is therefore dropped and counted in
-//! `evicted_bytes`, under either placement policy; CSR records already
-//! on disk still promote and age out under the placement score. On
-//! `zipf_spill` (2 vCPUs, 10 alternating 25 s pairs) this took
-//! `focus_p50_ms` from 1.45 to 0.93 ms and demotions from about 393 to
-//! 125 per thousand requests. `snapshot` is not gated: a warm restart
-//! that loads the RAM-resident CSR plans too starts faster.
+//! than composing the plan again. A fixed-CSR plan is cached as a
+//! **verdict**: its tile, tuned width, features and epoch, tens of
+//! bytes, with no operand — it runs over the matrix each request
+//! already carries. Recomposing one costs about 41 µs (traced median
+//! `compose.total_us` on `zipf_spill`), while reading a record back
+//! costs 350–760 µs. An evicted verdict is therefore dropped and
+//! counted in `evicted_bytes`, under either placement policy, and
+//! `snapshot` skips verdicts the same way. A fixed-CSR record already
+//! on disk (written by an older engine) still promotes and warms, as a
+//! verdict, and ages out under the placement score. On `zipf_spill`,
+//! where 64 of 96 keys are fixed CSR, caching verdicts instead of
+//! operand copies took `latency_p50_ms` from 0.51 to 0.38 ms (2 vCPUs,
+//! 10 alternating 25 s pairs, 10/10 better).
 
 use crate::config::ServeConfig;
 use crate::fingerprint::Fingerprint;
@@ -78,9 +81,9 @@ pub(crate) struct PlanSlot<T: AtomicScalar> {
     /// Measured compose cost, nanoseconds — what a miss on this plan
     /// would re-pay. Travels with the plan into the disk tier, where
     /// the cost-aware placement policy ranks on it. Eviction does not
-    /// read it: a fixed-CSR plan, whose cost (about 0.09 ms) is below
-    /// a record read (about 0.44 ms), is dropped whatever its cost, and
-    /// a CELL plan is demoted whatever its cost (see `demote`).
+    /// read it: a fixed-CSR verdict, whose recompose (about 41 µs) is
+    /// below a record read (350–760 µs), is dropped whatever its cost,
+    /// and a CELL plan is demoted whatever its cost (see `demote`).
     pub(crate) cost_ns: u64,
 }
 
@@ -407,7 +410,8 @@ impl<T: AtomicScalar> PlanCache<T> {
     /// Load records highest-retention-score first until `budget` bytes
     /// are resident, so warming never triggers its own eviction churn.
     /// Every record is strictly re-validated by [`PlanStore::load`];
-    /// rejections count in `warm_rejected` and the record is deleted.
+    /// rejections count in `warm_rejected` and the record is deleted. A
+    /// fixed-CSR record is admitted, and charged, as its verdict.
     ///
     /// [`PlanStore::warm_loads`] reads, checks and decodes a wave of
     /// records at once on the pool; this loop settles and admits them
@@ -438,6 +442,7 @@ impl<T: AtomicScalar> PlanCache<T> {
             }
             match store.settle(&fp, j, loaded) {
                 Ok(Some((plan, meta))) => {
+                    let plan = plan.into_verdict();
                     let bytes = plan.format_bytes();
                     let slot = PlanSlot::new(plan, meta.cost_ns);
                     if self.admit((fp, j), slot, meta.uses.saturating_sub(1)) {
@@ -467,11 +472,13 @@ impl<T: AtomicScalar> PlanCache<T> {
         self.disk.as_ref().map(|d| &d.store)
     }
 
-    /// Persist every cached RAM plan to the disk tier. Returns the number
-    /// of plans written (`Ok(0)` without a store). Queued demotions
-    /// drain through the writer first, never here: writing them here
-    /// would race it on the same keys. Poisoned slots are skipped: a
-    /// quarantined plan must never resurrect through a snapshot.
+    /// Persist every cached RAM CELL plan to the disk tier. Returns the
+    /// number of plans written (`Ok(0)` without a store). Queued
+    /// demotions drain through the writer first, never here: writing
+    /// them here would race it on the same keys. Poisoned slots are
+    /// skipped: a quarantined plan must never resurrect through a
+    /// snapshot. Fixed-CSR verdicts are skipped as `demote` skips them
+    /// (see "Which plans demote").
     pub(crate) fn snapshot(&self) -> LfResult<usize> {
         let Some(disk) = &self.disk else {
             return Ok(0);
@@ -482,7 +489,7 @@ impl<T: AtomicScalar> PlanCache<T> {
         for shard in &self.shards {
             let shard = lock(shard);
             for (key, e) in &shard.map {
-                if !e.slot.is_poisoned() {
+                if e.slot.plan.uses_cell() && !e.slot.is_poisoned() {
                     plans.push((*key, Arc::clone(&e.slot), e.uses));
                 }
             }
@@ -521,7 +528,9 @@ impl<T: AtomicScalar> PlanCache<T> {
     /// Answer a RAM miss from the disk tier: the write-behind queue
     /// first, then the store. A queued plan is the evicted `Arc` itself
     /// and stays queued, so the disk ends as a synchronous demotion
-    /// would leave it. A validated record is decoded. Either way the
+    /// would leave it. A validated record is decoded; a fixed-CSR
+    /// record (from an older store) is admitted as its verdict, without
+    /// the operand copy it was written with. Either way the
     /// plan is counted (`disk_hits`) and re-admitted into RAM
     /// (`promotions` — unless oversized for its shard slice). A record
     /// that fails strict validation is counted (the store deleted it)
@@ -538,7 +547,7 @@ impl<T: AtomicScalar> PlanCache<T> {
         match disk.store.get(&key.0, key.1) {
             Ok(Some((plan, meta))) => {
                 bump(&self.counters.disk_hits, 1);
-                let slot = PlanSlot::new(plan, meta.cost_ns);
+                let slot = PlanSlot::new(plan.into_verdict(), meta.cost_ns);
                 if self.admit(*key, Arc::clone(&slot), meta.uses) {
                     bump(&self.counters.promotions, 1);
                 }
@@ -564,8 +573,16 @@ impl<T: AtomicScalar> PlanCache<T> {
     /// under the lock, then — with no lock held — each is queued for the
     /// demotion writer (or, past the queue bound, written to the disk
     /// tier on this thread).
+    ///
+    /// No admitted plan holds a copy of a matrix its requests carry:
+    /// fixed-CSR plans arrive as verdicts (`compose_guarded`, `promote`,
+    /// `warm_from_disk`).
     pub(crate) fn admit(&self, key: Key, slot: Arc<PlanSlot<T>>, uses: u64) -> bool {
         debug_assert!(!slot.plan.degraded, "degraded plans are never cached");
+        debug_assert!(
+            slot.plan.uses_cell() || slot.plan.is_verdict(),
+            "a cached fixed-CSR plan holds no operand"
+        );
         let bytes = slot.plan.format_bytes();
         if bytes > self.shard_budget {
             bump(&self.counters.oversized, 1);
@@ -616,10 +633,10 @@ impl<T: AtomicScalar> PlanCache<T> {
     /// poisoned plan or a fixed-CSR plan counts its bytes as dropped
     /// (`evicted_bytes`).
     ///
-    /// Only CELL plans are worth a record: recomposing a fixed-CSR plan
-    /// (about 0.09 ms) is cheaper than reading its record back (about
-    /// 0.44 ms) or writing it (0.84–1.0 ms), so it is dropped, as an
-    /// engine without a store drops it (see "Which plans demote").
+    /// Only CELL plans are worth a record: recomposing a fixed-CSR
+    /// verdict (about 41 µs) is cheaper than reading a record back
+    /// (350–760 µs), so it is dropped, as an engine without a store
+    /// drops it (see "Which plans demote").
     fn demote(&self, key: Key, entry: Entry<T>) {
         let worth_a_record = entry.slot.plan.uses_cell() && !entry.slot.is_poisoned();
         let Some(disk) = self.disk.as_ref().filter(|_| worth_a_record) else {
@@ -816,6 +833,7 @@ mod tests {
     use crate::{Fingerprint, ServeConfig, ServeEngine, ServeStats};
     use lf_sparse::gen::mixed_regions;
     use lf_sparse::{CsrMatrix, DenseMatrix, Pcg32};
+    use liteform_core::{PreparedPlan, PreprocessProfile};
     use std::path::{Path, PathBuf};
     use std::sync::{mpsc, Arc};
     use std::thread::JoinHandle;
@@ -1104,6 +1122,33 @@ mod tests {
         let s = e.stats();
         assert_eq!((s.evictions, s.demotions), (1, 1), "{s:?}");
         assert_eq!(e.cache.store().map(|st| st.records()), Some(2));
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_fixed_csr_record_promotes_as_a_verdict() {
+        // A record an older engine wrote: a fixed-CSR plan holding its
+        // operand. Promoted, it is admitted without the copy.
+        let dir = store_dir("csr-promote");
+        let e = spilling_engine(&dir);
+        let m = matrix(100);
+        let key = (Fingerprint::of_csr(&m), 8);
+        let plan = PreparedPlan::from_csr(m.clone(), PreprocessProfile::default()).with_tuned_j(8);
+        let store = e.cache.store().expect("a store-backed engine");
+        store.put(&key.0, key.1, &plan, 1_000, 0).unwrap();
+        let mut rng = Pcg32::seed_from_u64(83);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let out = e.serve(&m, &b).unwrap();
+        assert!(out.hit && out.compose.is_none(), "a disk hit");
+        assert_eq!(bits(&out.result), bits(&m.spmm_reference(&b).unwrap()));
+        let s = e.stats();
+        assert_eq!((s.disk_hits, s.promotions), (1, 1), "{s:?}");
+        let slot = e.cache.lookup(&key).expect("promoted into RAM");
+        assert!(slot.plan.is_verdict(), "admitted without its operand");
+        assert_eq!(s.cached_bytes, slot.plan.format_bytes(), "{s:?}");
+        assert!(s.cached_bytes < plan.format_bytes() / 100, "{s:?}");
+        assert_ledger_balances(&s);
         drop(e);
         let _ = std::fs::remove_dir_all(&dir);
     }

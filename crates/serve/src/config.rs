@@ -40,7 +40,7 @@ pub struct ServeConfig {
     pub max_batch_j: usize,
     /// Directory for the disk tier of the plan cache (`None` disables
     /// it — the default). With a store, RAM-evicted CELL plans are
-    /// demoted to disk instead of dropped (fixed-CSR plans, cheaper to
+    /// demoted to disk instead of dropped (fixed-CSR verdicts, cheaper to
     /// recompose than to read back, are still dropped), RAM misses check
     /// disk before composing, and engine construction **warms** the cache from the
     /// directory (every record strictly re-validated; failures are

@@ -21,8 +21,8 @@
 //! 5. **serve the group** — one code path for both: resolve the plan
 //!    for `(fingerprint, Σj)` (RAM hit, disk promotion, or a compose run
 //!    outside any lock and admitted under the byte budget), execute it
-//!    once under the group's cancel token, then settle each member by
-//!    its own token.
+//!    once over the request's own matrix under the group's cancel
+//!    token, then settle each member by its own token.
 //!
 //! Failures are contained per member (DESIGN.md §10): a panicking
 //! *execution* quarantines the cached plan (poisoned, evicted exactly
@@ -170,12 +170,13 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
         }
     }
 
-    /// Persist every currently cached RAM plan to the disk tier — the
-    /// snapshot a restart warms from. Queued demotions are drained first
-    /// ([`flush_demotions`](Self::flush_demotions)). Returns the number
-    /// of RAM plans written, or `Ok(0)` without a store. Poisoned slots
-    /// are skipped (a quarantined plan must never resurrect through a
-    /// snapshot).
+    /// Persist every currently cached RAM CELL plan to the disk tier —
+    /// the snapshot a restart warms from. Queued demotions are drained
+    /// first ([`flush_demotions`](Self::flush_demotions)). Returns the
+    /// number of RAM plans written, or `Ok(0)` without a store. Poisoned
+    /// slots are skipped (a quarantined plan must never resurrect
+    /// through a snapshot), and so are fixed-CSR verdicts: they hold no
+    /// operand, and recomposing one is cheaper than reading a record.
     pub fn snapshot(&self) -> LfResult<usize> {
         self.cache.snapshot()
     }
@@ -542,7 +543,9 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
     /// Serve one group: resolve its plan and execute it once, both under
     /// the group token, then settle every member by its **own** token.
     /// Returns member 0's resolution; joiners are settled through their
-    /// slots.
+    /// slots. The execute runs over `g.csr`, member 0's own matrix: every
+    /// member shares its fingerprint, and a fixed-CSR verdict holds no
+    /// operand of its own.
     ///
     /// The plan is resolved at the fused width `Σ jᵢ`, so a plan tuned
     /// for one member's narrow `j` never serves a wide execute. A member
@@ -571,7 +574,7 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
                     panic!("chaos: injected execute panic");
                 }
             }
-            scoped(token.as_ref(), || slot.plan.run_batched(&bs))
+            scoped(token.as_ref(), || slot.plan.run_batched_on(g.csr, &bs))
         }));
         let batched = !g.joiners.is_empty();
         let mut panicked = None;
@@ -664,7 +667,10 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
     }
 
     /// Compose on the calling thread (no locks held) under
-    /// `catch_unwind`, recording the cold cost. Allocation counters are
+    /// `catch_unwind`, recording the cold cost. A fixed-CSR plan is
+    /// returned as its verdict: a planner that hands back a copy of
+    /// `csr` has it dropped here, so no cached plan holds the operand
+    /// its requests already carry. Allocation counters are
     /// process-wide, so concurrent misses attribute each other's traffic
     /// to both — the totals stay an upper bound per request and exact in
     /// aggregate intent (see `lf-sim`'s allocator docs).
@@ -690,7 +696,7 @@ impl<T: AtomicScalar, P: Planner<T>> ServeEngine<T, P> {
                 // record whose key and blob epochs disagree, so a plan
                 // composed for a mutated handle must carry its
                 // generation from birth.
-                let plan = outcome?.with_epoch(epoch);
+                let plan = outcome?.with_epoch(epoch).into_verdict();
                 if cancel::cancelled() {
                     // The deadline fired during composition: the plan is
                     // intact but the request is over budget. Fail fast;
@@ -916,6 +922,30 @@ mod tests {
         assert_eq!(s.rejected, 1);
         assert_eq!((s.hits, s.misses, s.cached_plans), (0, 0, 0));
         assert_ledger_balances(&s);
+    }
+
+    #[test]
+    fn a_csr_hit_computes_over_the_requests_own_operand() {
+        // A's fixed-CSR verdict is cached under A's key; B (same shape)
+        // arrives under A's fingerprint, as after a collision. The hit
+        // must compute B's product: a verdict holds no matrix of its own.
+        let e = engine();
+        let (a, b_mat) = (matrix(60), matrix(61));
+        let fa = Fingerprint::of_csr(&a);
+        let verdict = PreparedPlan::from_csr(a.clone(), PreprocessProfile::default())
+            .with_tuned_j(8)
+            .into_verdict();
+        assert!(e.cache.admit((fa, 8), PlanSlot::new(verdict, 0), 0));
+        let mut rng = Pcg32::seed_from_u64(61);
+        let b = DenseMatrix::random(128, 8, &mut rng);
+        let out = e.serve_keyed(&fa, &b_mat, &b).unwrap();
+        assert!(out.hit && out.compose.is_none(), "served from A's entry");
+        let want = b_mat.spmm_reference(&b).unwrap();
+        let bits =
+            |m: &DenseMatrix<f64>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.result), bits(&want), "B's product, not A's");
+        assert_ne!(bits(&out.result), bits(&a.spmm_reference(&b).unwrap()));
+        assert_ledger_balances(&e.stats());
     }
 
     /// A planner whose plan always panics on execute: its single bucket

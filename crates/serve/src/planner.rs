@@ -53,9 +53,12 @@ pub trait Planner<T: AtomicScalar>: Send + Sync {
     }
 }
 
+/// The trained pipeline as a serving planner: a fixed-CSR decision comes
+/// back as a verdict with no copy of `csr`
+/// ([`CompositionPlan::into_served`](liteform_core::CompositionPlan::into_served)).
 impl<T: AtomicScalar> Planner<T> for LiteForm {
     fn prepare(&self, csr: &CsrMatrix<T>, j: usize) -> LfResult<PreparedPlan<T>> {
-        Ok(LiteForm::prepare(self, csr, j))
+        Ok(self.compose(csr, j).into_served(csr, j))
     }
 
     fn name(&self) -> &'static str {
@@ -154,10 +157,10 @@ impl<T: AtomicScalar> Planner<T> for PinnedLiteForm {
 /// `prepare_keyed` delegates to the inner planner under `catch_unwind`;
 /// if the composition **panics**, returns a typed error, or exceeds the
 /// optional per-compose wall budget, the wrapper records the failure
-/// against the key and falls back to a baseline CSR plan marked
+/// against the key and falls back to a baseline CSR verdict marked
 /// [`PreparedPlan::degraded`] — the result is still exact (the CSR
 /// vector kernel is bitwise-equal to `spmm_reference`), only slower, and
-/// the engine serves it without caching it.
+/// the engine serves it over the request's matrix without caching it.
 ///
 /// A per-key **circuit breaker** counts consecutive failures (compose
 /// failures here, execution failures via [`Planner::record_failure`]
@@ -226,7 +229,7 @@ impl<P> ResilientPlanner<P> {
 
     fn fallback<T: AtomicScalar>(&self, csr: &CsrMatrix<T>, j: usize) -> PreparedPlan<T> {
         self.downgrades.fetch_add(1, Ordering::Relaxed);
-        PreparedPlan::from_csr(csr.clone(), PreprocessProfile::default())
+        PreparedPlan::csr_verdict(csr, PreprocessProfile::default())
             .with_tuned_j(j)
             .mark_degraded()
     }
@@ -402,8 +405,10 @@ mod tests {
         assert!(!plan.uses_cell(), "fallback is the baseline CSR kernel");
         assert_eq!(planner.downgrades(), 1);
         // The degraded result is bitwise the reference result: the CSR
-        // vector kernel accumulates each row in index order.
-        let got = plan.run(&b).unwrap();
+        // vector kernel accumulates each row in index order. The verdict
+        // holds no operand; it runs over the request's.
+        assert!(plan.is_verdict());
+        let got = plan.run_batched_on(&csr, &[&b]).unwrap().remove(0);
         for r in 0..want.rows() {
             for c in 0..want.cols() {
                 assert_eq!(got.get(r, c).to_bits(), want.get(r, c).to_bits());
@@ -470,6 +475,7 @@ mod tests {
         assert_eq!(planner.failure_count(12), 1);
         let b = DenseMatrix::random(64, 8, &mut rng);
         let want = csr.spmm_reference(&b).unwrap();
-        assert!(plan.run(&b).unwrap().approx_eq(&want, 1e-9));
+        let got = plan.run_batched_on(&csr, &[&b]).unwrap().remove(0);
+        assert!(got.approx_eq(&want, 1e-9));
     }
 }

@@ -89,7 +89,7 @@ pub struct ServeStats {
     pub evictions: u64,
     /// Bytes of evicted plans that were **dropped outright** — no disk
     /// tier, the store write failed, the plan was poisoned, or it was a
-    /// fixed-CSR plan (cheaper to recompose than to read back). With
+    /// fixed-CSR verdict (cheaper to recompose than to read back). With
     /// `demotions`, this splits every eviction by what happened to the
     /// bytes.
     pub evicted_bytes: u64,

@@ -547,7 +547,7 @@ impl<T: AtomicScalar> PlanStore<T> {
         // pass both CRCs but were written for a different matrix (or a
         // stale version of this one). The reconstruction carries no
         // epoch, so align it before comparing content.
-        let refp = Fingerprint::of_csr(&plan.reconstruct_csr());
+        let refp = Fingerprint::of_csr(&plan.reconstruct_csr()?);
         if refp.with_epoch(fp.epoch) != *fp {
             return Err(LfError::PlanDecode(CodecError::BadField(
                 "stale fingerprint",

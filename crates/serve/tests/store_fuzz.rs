@@ -111,7 +111,7 @@ fn two_thousand_record_mutations_never_panic_and_every_ok_re_fingerprints() {
             .expect("load panicked on a mutated record");
         match loaded {
             Ok(Some(plan)) => {
-                let refp = Fingerprint::of_csr(&plan.reconstruct_csr());
+                let refp = Fingerprint::of_csr(&plan.reconstruct_csr().unwrap());
                 assert_eq!(refp.with_epoch(fp.epoch), *fp, "an Ok plan re-fingerprints");
                 accepted += 1;
             }

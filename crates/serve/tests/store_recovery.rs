@@ -264,7 +264,9 @@ fn without_a_store_evicted_bytes_are_counted_as_dropped() {
     assert_eq!(s.store_bytes, 0);
 }
 
-/// Plans fixed CSR for one matrix and CELL for every other.
+/// Plans fixed CSR for one matrix and CELL for every other. The CSR plan
+/// is handed back holding a copy of its operand; the engine caches its
+/// verdict.
 struct SplitPlanner {
     csr: Fingerprint,
 }
@@ -298,15 +300,15 @@ fn csr_plans_are_dropped_under(placement: Placement, dir: &Path) {
     let (c, l) = (matrix(14), matrix(15));
     let (fc, fl) = (Fingerprint::of_csr(&c), Fingerprint::of_csr(&l));
     let planner = || SplitPlanner { csr: fc };
-    let csr_bytes = planner().prepare(&c, 8).unwrap().format_bytes();
     let cell_plan = planner().prepare(&l, 8).unwrap();
     assert!(cell_plan.uses_cell());
-    // One shard with room for one plan: each admission evicts the other.
+    // One shard with room for the CELL plan alone: each admission evicts
+    // the other plan.
     let e = ServeEngine::new(
         planner(),
         ServeConfig {
             shards: 1,
-            byte_budget: csr_bytes.max(cell_plan.format_bytes()),
+            byte_budget: cell_plan.format_bytes(),
             ..config()
         },
     );
@@ -325,6 +327,9 @@ fn csr_plans_are_dropped_under(placement: Placement, dir: &Path) {
     };
 
     assert!(!e.serve(&c, &b).unwrap().hit);
+    // The CSR plan is charged as its verdict: a few bytes, no operand.
+    let csr_bytes = e.stats().cached_bytes;
+    assert!(csr_bytes > 0 && csr_bytes < c.memory_bytes() / 100);
     assert!(!e.serve(&l, &b).unwrap().hit); // evicts the CSR plan
     e.flush_demotions();
     let s = e.stats();
@@ -356,10 +361,11 @@ fn csr_plans_are_dropped_under(placement: Placement, dir: &Path) {
     assert_eq!(s.evicted_bytes as usize, 2 * csr_bytes, "{s:?}");
     assert!(!on_disk(&fc), "still no CSR record");
 
-    // A snapshot writes the RAM tier, CSR plans included.
+    // A snapshot writes the RAM tier's CELL plans: the resident CSR
+    // verdict is skipped.
     assert!(!e.serve(&c, &b).unwrap().hit);
-    assert_eq!(e.snapshot().unwrap(), 1);
-    assert!(on_disk(&fc), "snapshot writes the resident CSR plan");
+    assert_eq!(e.snapshot().unwrap(), 0);
+    assert!(!on_disk(&fc), "snapshot writes no CSR record");
     let s = e.stats();
     assert_eq!(
         s.requests(),
@@ -367,14 +373,18 @@ fn csr_plans_are_dropped_under(placement: Placement, dir: &Path) {
     );
     drop(e);
 
-    // A reopen with room for both warms both.
+    // A reopen warms the CELL record; the CSR key recomposes.
     let e = ServeEngine::new(planner(), config());
-    assert_eq!(e.stats().warm_loaded, 2, "{:?}", e.stats());
-    for (a, what) in [(&c, "warm CSR plan"), (&l, "warm CELL plan")] {
-        let out = e.serve(a, &b).unwrap();
-        assert!(out.hit && out.compose.is_none(), "{what}: a warm hit");
-        assert_eq!(bits(&out.result), reference(a), "{what}");
-    }
+    assert_eq!(e.stats().warm_loaded, 1, "{:?}", e.stats());
+    let out = e.serve(&l, &b).unwrap();
+    assert!(
+        out.hit && out.compose.is_none(),
+        "warm CELL plan: a warm hit"
+    );
+    assert_eq!(bits(&out.result), reference(&l), "warm CELL plan");
+    let out = e.serve(&c, &b).unwrap();
+    assert!(!out.hit && out.compose.is_some(), "CSR plan: a miss");
+    assert_eq!(bits(&out.result), reference(&c), "recomposed CSR plan");
     let _ = fs::remove_dir_all(dir);
 }
 
