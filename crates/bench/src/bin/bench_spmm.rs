@@ -5,8 +5,9 @@
 //! `atomic_add`), plus a three-way engine comparison per kernel: the
 //! microkernel's one-lane arm (`Lanes::Scalar`) vs the SIMD strips at
 //! the default tile vs SIMD at the cost-model-tuned tile (`plan_tile`),
-//! and a narrow pass timing every distinct numeric path at J=16 at its
-//! tuned tile (the width most serving requests run at).
+//! and narrow passes timing every distinct numeric path at J=2
+//! (`shared_narrow`'s solo width) and J=16 (the width most other serving
+//! requests run at), each at its tuned tile.
 //!
 //! All engines are measured **in-process on the same operand**, so the
 //! ratios are free of the cross-run variance this host shows on absolute
@@ -72,7 +73,11 @@ struct SimdComparison {
     speedup: f64,
 }
 
-/// The narrow-width pass: every distinct numeric path at its tuned tile.
+/// Dense widths of the narrow passes: `shared_narrow`'s solo width and
+/// the width most other serving requests run at.
+const NARROW_JS: [usize; 2] = [2, 16];
+
+/// One narrow-width pass: every distinct numeric path at its tuned tile.
 #[derive(Serialize)]
 struct NarrowPass {
     j: usize,
@@ -92,7 +97,7 @@ struct Artifact {
     geomean_speedup: f64,
     simd: Vec<SimdComparison>,
     simd_geomean_speedup: f64,
-    narrow: NarrowPass,
+    narrow: Vec<NarrowPass>,
 }
 
 /// Best-of-`reps` wall time in milliseconds.
@@ -285,18 +290,29 @@ fn main() {
     }
     let simd_gm = geomean(&simd_speedups).unwrap_or(0.0);
 
-    // --- Narrow pass: J=16 at the tuned tile --------------------------
-    let j_narrow = 16;
-    let b_narrow = DenseMatrix::random(csr.cols(), j_narrow, &mut rng);
-    let narrow_tile = plan_tile(features, j_narrow);
-    let mut nt = Table::new(&["engine", "time_ms"]);
-    let mut narrow_times = Vec::new();
-    for (name, run) in &simd_cases {
-        let ms = time_ms(reps, || run(&b_narrow, narrow_tile));
-        nt.row(&[name.clone(), fmt(ms)]);
-        narrow_times.push(KernelTime {
-            name: name.clone(),
-            time_ms: ms,
+    // --- Narrow passes: J=2 and J=16 at the tuned tile ---------------
+    let mut narrow = Vec::new();
+    let mut narrow_tables = Vec::new();
+    for j_narrow in NARROW_JS {
+        let b_narrow = DenseMatrix::random(csr.cols(), j_narrow, &mut rng);
+        let narrow_tile = plan_tile(features, j_narrow);
+        let mut nt = Table::new(&["engine", "time_ms"]);
+        let mut narrow_times = Vec::new();
+        for (name, run) in &simd_cases {
+            let ms = time_ms(reps, || run(&b_narrow, narrow_tile));
+            nt.row(&[name.clone(), fmt(ms)]);
+            narrow_times.push(KernelTime {
+                name: name.clone(),
+                time_ms: ms,
+            });
+        }
+        narrow_tables.push(nt);
+        narrow.push(NarrowPass {
+            j: j_narrow,
+            j_tile: narrow_tile.j_tile,
+            k_block: narrow_tile.k_block,
+            lanes: format!("{:?}", narrow_tile.lanes),
+            kernels: narrow_times,
         });
     }
 
@@ -310,11 +326,13 @@ fn main() {
     println!();
     st.print();
     println!("\nSIMD-vs-scalar speedup geomean: {}x", fmt(simd_gm));
-    println!(
-        "\nJ={j_narrow} at the tuned tile (j_tile {}, k_block {}, {:?}):",
-        narrow_tile.j_tile, narrow_tile.k_block, narrow_tile.lanes
-    );
-    nt.print();
+    for (pass, nt) in narrow.iter().zip(&narrow_tables) {
+        println!(
+            "\nJ={} at the tuned tile (j_tile {}, k_block {}, {}):",
+            pass.j, pass.j_tile, pass.k_block, pass.lanes
+        );
+        nt.print();
+    }
 
     let artifact = Artifact {
         mode: if quick { "quick" } else { "full" },
@@ -325,13 +343,7 @@ fn main() {
         geomean_speedup: gm,
         simd: simd_rows,
         simd_geomean_speedup: simd_gm,
-        narrow: NarrowPass {
-            j: j_narrow,
-            j_tile: narrow_tile.j_tile,
-            k_block: narrow_tile.k_block,
-            lanes: format!("{:?}", narrow_tile.lanes),
-            kernels: narrow_times,
-        },
+        narrow,
     };
     let dir = if quick {
         PathBuf::from("target/bench-spmm")

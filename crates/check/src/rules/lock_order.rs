@@ -118,9 +118,10 @@ const POOL_PANIC: LockClass = LockClass {
 /// Functions that hand work to the thread pool; reaching one while
 /// holding any serving lock nests the pool's job mutexes under it —
 /// the "cache shard → never pool job mutex" edge of the hierarchy.
-const POOL_ENTRIES: [&str; 12] = [
+const POOL_ENTRIES: [&str; 13] = [
     "parallel_for",
     "parallel_for_init",
+    "parallel_ranges",
     "parallel_map",
     "parallel_map_init",
     "broadcast",

@@ -88,8 +88,10 @@ pub fn tile_cache_stats() -> (usize, usize) {
 /// `params`, on the [`calibration`]-measured machine.
 ///
 /// The model mirrors the kernels' streaming microkernel
-/// (`lf_kernels::simd::stream_row`), which holds a register strip of
-/// `C` while a row's `B` rows stream through it:
+/// (`lf_kernels::simd::stream_rows`), which, for every row of a work
+/// item's row range, holds a register strip of `C` while the row's `B`
+/// rows stream through it (its per-call dispatch is paid once per
+/// range, so the model charges none per row):
 ///
 /// * each accumulated element costs the lane mode's measured streamed
 ///   accumulate rate, inflated by the measured spill factor when the

@@ -31,7 +31,7 @@
 //! oracle path.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{stream_row, TileParams};
+use crate::simd::{stream_row, stream_rows, Rows, TileParams};
 use crate::SpmmKernel;
 use lf_cell::{Bucket, CellMatrix};
 use lf_sim::atomicf::AtomicScalar;
@@ -291,22 +291,25 @@ impl<T: AtomicScalar> CellKernel<T> {
                 let c_band = unsafe { out.slice_mut(r0 * j, (bands.rows[band + 1] - r0) * j) };
                 for seg in &bands.segments[bands.offsets[band]..bands.offsets[band + 1]] {
                     let bucket = &parts[seg.part as usize].buckets[seg.bucket as usize];
-                    let w = bucket.width;
-                    for bi in seg.lo as usize..seg.hi as usize {
-                        let row = bucket.row_ind[bi] as usize;
+                    let (lo, hi, w) = (seg.lo as usize, seg.hi as usize, bucket.width);
+                    let row_ind = &bucket.row_ind[lo..hi];
+                    for &row in row_ind {
                         if bucket.needs_atomic {
-                            labels.claim_shared(row * j, j);
+                            labels.claim_shared(row as usize * j, j);
                         } else {
-                            labels.claim_exclusive(row * j, j);
+                            labels.claim_exclusive(row as usize * j, j);
                         }
-                        stream_row(
-                            &tile,
-                            &mut c_band[(row - r0) * j..(row - r0 + 1) * j],
-                            &bucket.col_ind[bi * w..][..w],
-                            &bucket.values[bi * w..][..w],
-                            b,
-                        );
                     }
+                    let rows = Rows::Fixed {
+                        width: w,
+                        row_ind: Some(row_ind),
+                        base: r0,
+                    };
+                    let (cols, vals) = (
+                        &bucket.col_ind[lo * w..hi * w],
+                        &bucket.values[lo * w..hi * w],
+                    );
+                    stream_rows(&tile, c_band, rows, cols, vals, b);
                 }
             });
         }

@@ -2,20 +2,20 @@
 //! (naive scalar, cuSPARSE-like vector, dgSPARSE/GE-SpMM, Sputnik).
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{stream_row, TileParams};
+use crate::simd::{stream_rows, Rows, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
-use lf_sim::parallel::{default_workers, parallel_for, DisjointSlice};
+use lf_sim::parallel::{default_workers, parallel_ranges, DisjointSlice};
 use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
 use lf_sparse::{CsrMatrix, DenseMatrix, Result, SparseError};
 
 /// Row-parallel CSR SpMM with an explicit execution tile, over a
 /// borrowed operand. Each output row has exactly one writer, so workers
-/// stream each row straight into their disjoint `C` row through the
-/// shared microkernel — no atomics, no per-row scratch. Per-element
-/// accumulation order is ascending-k in every lane mode, so all modes
-/// are bitwise identical. Every CSR kernel's numeric path is this loop;
+/// stream each chunk of rows straight into their disjoint `C` rows
+/// through one call of the shared microkernel — no atomics, no per-row
+/// scratch. Per-element accumulation order is ascending-k in every lane
+/// mode, so all modes are bitwise identical. Every CSR kernel's numeric path is this loop;
 /// a fixed-CSR verdict runs it over the request's own matrix.
 pub fn parallel_csr_spmm_tiled<T: AtomicScalar>(
     csr: &CsrMatrix<T>,
@@ -33,11 +33,19 @@ pub fn parallel_csr_spmm_tiled<T: AtomicScalar>(
     let mut c = DenseMatrix::zeros(csr.rows(), j);
     {
         let out = DisjointSlice::new(c.as_mut_slice());
-        parallel_for(csr.rows(), default_workers(), |i| {
-            // SAFETY: `parallel_for` hands each row index to exactly one
-            // worker, so the `i * j .. (i + 1) * j` windows never overlap.
-            let crow = unsafe { out.slice_mut(i * j, j) };
-            stream_row(&tile, crow, csr.row_cols(i), csr.row_values(i), b);
+        parallel_ranges(csr.rows(), default_workers(), |rows| {
+            // SAFETY: `parallel_ranges` hands out disjoint row ranges, so
+            // the `start * j .. end * j` windows never overlap.
+            let c_rows = unsafe { out.slice_mut(rows.start * j, rows.len() * j) };
+            let row_ptr = &csr.row_ptr()[rows.start..=rows.end];
+            stream_rows(
+                &tile,
+                c_rows,
+                Rows::Csr(row_ptr),
+                csr.col_ind(),
+                csr.values(),
+                b,
+            );
         });
     }
     Ok(c)

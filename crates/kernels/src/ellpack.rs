@@ -3,11 +3,11 @@
 //! compute/traffic — the inefficiency CELL's buckets remove.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{stream_row, TileParams};
+use crate::simd::{stream_rows, Rows, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
-use lf_sim::parallel::{default_workers, parallel_for, DisjointSlice};
+use lf_sim::parallel::{default_workers, parallel_ranges, DisjointSlice};
 use lf_sim::{BlockCost, DeviceModel, LaunchSpec};
 use lf_sparse::ell::ELL_PAD;
 use lf_sparse::{DenseMatrix, EllMatrix, Result, SparseError};
@@ -56,16 +56,23 @@ impl<T: AtomicScalar> EllKernel<T> {
         let width = self.ell.width();
         let mut c = DenseMatrix::zeros(rows, j);
         {
-            // Rows are disjoint: stream each straight into its output row.
+            // Rows are disjoint: stream each chunk of padded rows
+            // straight into its output rows.
             let out = DisjointSlice::new(c.as_mut_slice());
-            parallel_for(rows, default_workers(), |i| {
-                // SAFETY: each row index goes to exactly one worker.
-                let crow = unsafe { out.slice_mut(i * j, j) };
-                let cols = &self.ell.col_ind()[i * width..(i + 1) * width];
-                // Padding is trailing: stream the row's real prefix only.
-                let len = cols.iter().position(|&c| c == ELL_PAD).unwrap_or(width);
-                let vals = &self.ell.values()[i * width..i * width + len];
-                stream_row(&tile, crow, &cols[..len], vals, b);
+            parallel_ranges(rows, default_workers(), |range| {
+                // SAFETY: `parallel_ranges` hands out disjoint row ranges.
+                let c_rows = unsafe { out.slice_mut(range.start * j, range.len() * j) };
+                let slots = range.start * width..range.end * width;
+                let rows = Rows::Fixed {
+                    width,
+                    row_ind: None,
+                    base: 0,
+                };
+                let (cols, vals) = (
+                    &self.ell.col_ind()[slots.clone()],
+                    &self.ell.values()[slots],
+                );
+                stream_rows(&tile, c_rows, rows, cols, vals, b);
             });
         }
         Ok(c)

@@ -47,7 +47,7 @@ pub use csr::{
 };
 pub use ellpack::EllKernel;
 pub use sell::SellKernel;
-pub use simd::{dispatched_lanes, stream_row, Lanes, TileParams, MAX_K_BLOCK};
+pub use simd::{dispatched_lanes, stream_row, stream_rows, Lanes, Rows, TileParams, MAX_K_BLOCK};
 pub use taco::{TacoKernel, TacoSchedule};
 
 use lf_sim::atomicf::AtomicScalar;

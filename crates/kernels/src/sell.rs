@@ -5,7 +5,7 @@
 //! similar length from across the matrix the way CELL buckets do.
 
 use crate::common::{b_row_tx, split_b_traffic, spmm_flops, BlockScratch};
-use crate::simd::{stream_row, TileParams};
+use crate::simd::{stream_rows, Rows, TileParams};
 use crate::SpmmKernel;
 use lf_sim::atomicf::AtomicScalar;
 use lf_sim::coalesce::segment_transactions;
@@ -57,24 +57,21 @@ impl<T: AtomicScalar> SellKernel<T> {
         let j = b.cols();
         let mut c = DenseMatrix::zeros(rows, j);
         {
-            // Slices cover disjoint row ranges: stream each row straight
-            // into its output row.
+            // Slices cover disjoint row ranges: stream each slice's padded
+            // rows straight into its output rows.
             let out = DisjointSlice::new(c.as_mut_slice());
             let slices = self.sell.slices();
             parallel_for(slices.len(), default_workers(), |si| {
                 let slice = &slices[si];
-                let w = slice.width;
-                for local in 0..slice.height {
-                    let row = slice.row_start + local;
-                    // SAFETY: each slice (hence each row) goes to exactly
-                    // one worker.
-                    let crow = unsafe { out.slice_mut(row * j, j) };
-                    let cols = &slice.col_ind[local * w..(local + 1) * w];
-                    // Padding is trailing: stream the row's real prefix only.
-                    let len = cols.iter().position(|&c| c == ELL_PAD).unwrap_or(w);
-                    let vals = &slice.values[local * w..local * w + len];
-                    stream_row(&tile, crow, &cols[..len], vals, b);
-                }
+                // SAFETY: each slice (hence each of its rows) goes to
+                // exactly one worker.
+                let c_rows = unsafe { out.slice_mut(slice.row_start * j, slice.height * j) };
+                let rows = Rows::Fixed {
+                    width: slice.width,
+                    row_ind: None,
+                    base: 0,
+                };
+                stream_rows(&tile, c_rows, rows, &slice.col_ind, &slice.values, b);
             });
         }
         Ok(c)

@@ -2,13 +2,28 @@
 //!
 //! Every SpMM kernel's inner loop is `C[r][s] += Σ_k a_k · B[col_k][s]`
 //! over one sparse row's non-zeros. This module is that loop, once:
-//! [`stream_row`] takes a row's `cols`/`vals` slices and `B`, and holds
-//! a strip of `C` in registers while the row's `B` rows stream through
-//! it — the shape of the paper's Algorithm 2, which reads a block's
-//! `col_ind`/`val` arrays and accumulates straight into registers. Every
-//! kernel's numeric loop is one `stream_row` call per sparse row (or row
-//! fragment); nothing is copied between the sparse arrays and the
-//! accumulators.
+//! [`stream_rows`] takes a run of rows — a CSR row chunk (a `row_ptr`
+//! window) or a range of fixed-width padded rows (a bucket's `row_ind`
+//! plus its width, or consecutive ELL/SELL rows) — and for each row
+//! holds a strip of `C` in registers while the row's `B` rows stream
+//! through it: the shape of the paper's Algorithm 2, which gives a block
+//! a run of `col_ind`/`val` slots and accumulates straight into
+//! registers. The CSR-family, CELL, ELL and SELL numeric loops make one
+//! call per work item; [`stream_row`] is the one-row case, left to
+//! TACO's scratch accumulator and CELL's forced-atomic oracle. Nothing
+//! is copied between the sparse arrays and the accumulators.
+//!
+//! # One entry per range
+//!
+//! The fixed cost of a call — the bounds check, lane resolution, the
+//! AVX2 feature test and the non-inlined `#[target_feature]` call — is
+//! paid per range, not per row, and so is the branch on the dense width
+//! `J`: when `J` is a power of two up to 64 and one sweep covers the row
+//! (`J ≤ j_tile` and `J ≤ LANES × 8`), the range runs a row loop in
+//! which `J` — the strip cascade and the `B` row stride — is a
+//! compile-time constant. At the narrow widths serving runs at, with
+//! rows a few dozen slots long, that per-row fixed cost was most of the
+//! kernel. Every other width runs the generic j-tile loop per row.
 //!
 //! # Strips and `k_block`
 //!
@@ -32,10 +47,10 @@
 //!   `lf_sim::calibrate` times as its scalar axpy);
 //! * [`Lanes::X4`] / [`Lanes::X8`] — the strip cascade over 4/8-lane
 //!   groups, which the autovectorizer lowers to full-width vector code;
-//!   on x86_64 with AVX2 detected at runtime the same generic body is
-//!   entered through a `#[target_feature(enable = "avx2")]` clone so
-//!   8-lane `f32` groups use 256-bit registers even though the crate's
-//!   baseline codegen is SSE2.
+//!   on x86_64 with AVX2 detected at runtime the same generic range
+//!   body is entered through a `#[target_feature(enable = "avx2")]`
+//!   clone so 8-lane `f32` groups use 256-bit registers even though the
+//!   crate's baseline codegen is SSE2.
 //!
 //! [`Lanes::Auto`] resolves to the widest shape the machine supports
 //! before dispatch; a caller that wants the one-lane arm asks for it
@@ -47,8 +62,10 @@
 //! chunking accumulates the same partial products in the same
 //! ascending-`k` order (lane grouping only changes which *elements*
 //! share a register, never one element's own reduction order), and no
-//! mode uses fused multiply-add. All lane modes therefore produce
+//! mode uses fused multiply-add; the compile-time-width row loop runs
+//! the same sweep as the generic one. All lane modes therefore produce
 //! **bitwise identical** results on single-writer paths — the property
+//! `row_ranges` (every width 1..=136 against the per-element order),
 //! `engine_edge_cases::scalar_and_wide_tiles_agree_for_every_kernel` and
 //! the differential fuzzer pin down.
 
@@ -166,21 +183,36 @@ impl TileParams {
     }
 }
 
-/// Stream one sparse row into a `C` row:
-/// `c_row[s] += Σ_k vals[k] · B[cols[k]][s]` over the slots whose column
-/// is not `ELL_PAD`, in ascending `k` for every element, under `tile`'s
-/// j-tile, k-block depth and lane shape ([`Lanes::Auto`] is resolved
-/// here).
-///
-/// Per-element accumulation order is ascending `k` in every lane mode,
-/// tile and chunking, and no mode fuses multiply-adds, so all of them
-/// produce bitwise identical `c_row` contents.
+/// A run of sparse rows for one [`stream_rows`] call: where each row's
+/// slots sit in the call's `cols`/`vals` and which row of the call's `C`
+/// block it lands in.
+#[derive(Debug, Clone, Copy)]
+pub enum Rows<'a> {
+    /// A CSR row chunk: row `i` is slots `row_ptr[i]..row_ptr[i + 1]` of
+    /// `cols`/`vals` (absolute offsets) and lands in `C` row `i`.
+    Csr(&'a [usize]),
+    /// Fixed-width rows of `width` slots: row `i` is slots
+    /// `i·width..(i + 1)·width` of `cols`/`vals` and lands in `C` row
+    /// `row_ind[i] - base`, or in row `i` without `row_ind` (the rows
+    /// then fill the `C` block).
+    Fixed {
+        /// Slots per row, `ELL_PAD` slots included.
+        width: usize,
+        /// Each row's output row, offset by `base`.
+        row_ind: Option<&'a [Index]>,
+        /// The output row `C`'s first row stands for.
+        base: usize,
+    },
+}
+
+/// Stream one sparse row into a `C` row: the one-row case of
+/// [`stream_rows`], over a row's `cols`/`vals` slices.
 ///
 /// # Panics
 ///
-/// If `c_row.len() != b.cols()`, `cols.len() != vals.len()`, or a
-/// non-padding column index is not a row of `b`. The check is one pass
-/// over `cols` per call, before any `B` read.
+/// As [`stream_rows`]: if `c_row.len() != b.cols()`,
+/// `cols.len() != vals.len()`, or a non-padding column index is not a
+/// row of `b`.
 pub fn stream_row<T: Scalar>(
     tile: &TileParams,
     c_row: &mut [T],
@@ -188,23 +220,91 @@ pub fn stream_row<T: Scalar>(
     vals: &[T],
     b: &DenseMatrix<T>,
 ) {
+    stream_rows(tile, c_row, Rows::Csr(&[0, cols.len()]), cols, vals, b);
+}
+
+/// Stream a run of sparse rows into a `C` block:
+/// `C[o][s] += Σ_k vals[k] · B[cols[k]][s]` over each row's slots whose
+/// column is not `ELL_PAD`, in ascending `k` for every element, under
+/// `tile`'s j-tile, k-block depth and lane shape ([`Lanes::Auto`] is
+/// resolved here). `c` holds whole rows of `b.cols()` elements; `rows`
+/// says where each row's slots sit and which row of `c` it lands in.
+///
+/// The range is checked once, before any unchecked `B` read: one pass
+/// over its contiguous column slice, plus its output rows. The lane
+/// shape and the AVX2 clone are then entered once for the whole range,
+/// and a dense width `J` that is a power of two up to 64, fits one
+/// j-tile and at most one full register strip runs a row loop with `J`
+/// as a compile-time constant; every other width runs the generic
+/// j-tile loop per row.
+///
+/// Per-element accumulation order is ascending `k` in every lane mode,
+/// tile and chunking, and no mode fuses multiply-adds, so all of them
+/// produce bitwise identical `c` contents.
+///
+/// # Panics
+///
+/// If `cols.len() != vals.len()`; a non-padding column of the range is
+/// not a row of `b`; a CSR chunk's `row_ptr` leaves `cols` or decreases,
+/// or `c` does not hold exactly its rows; a fixed-width range's slots
+/// are not whole rows, or one of its output rows falls outside `c`.
+pub fn stream_rows<T: Scalar>(
+    tile: &TileParams,
+    c: &mut [T],
+    rows: Rows<'_>,
+    cols: &[Index],
+    vals: &[T],
+    b: &DenseMatrix<T>,
+) {
+    let j = b.cols();
+    // The range's contiguous slots, and whether its rows land in `c`.
+    let (span, lands) = match rows {
+        Rows::Csr(ptr) => {
+            let lo = ptr.first().copied().unwrap_or(0);
+            let hi = ptr.last().copied().unwrap_or(0);
+            (lo..hi, c.len() == ptr.len().saturating_sub(1) * j)
+        }
+        Rows::Fixed {
+            width,
+            row_ind,
+            base,
+        } => {
+            let c_rows = c.len().checked_div(j).unwrap_or(0);
+            let n = row_ind.map_or(c_rows, <[Index]>::len);
+            // `r - base` wraps for a row below `base`, so one compare
+            // bounds it from both sides.
+            let inside = row_ind
+                .is_none_or(|ri| ri.iter().all(|&r| (r as usize).wrapping_sub(base) < c_rows));
+            let whole = c.len() == c_rows * j && cols.len() == n * width;
+            (0..cols.len(), whole && inside)
+        }
+    };
     // `ELL_PAD + 1` wraps to 0, so the max is `1 + the largest real
-    // column` (0 for an all-padding row): one branch-free pass.
-    let bound = cols.iter().fold(0, |m, &c| m.max(c.wrapping_add(1)));
+    // column` (0 for an all-padding range): one branch-free pass.
+    let bound = cols
+        .get(span.clone())
+        .map(|s| s.iter().fold(0, |m, &c| m.max(c.wrapping_add(1))));
     // lf-lint: allow(panic-path): trips only on an operand that skipped validation, and before any unchecked `B` read; serving executes under catch_unwind
     assert!(
-        c_row.len() == b.cols() && cols.len() == vals.len() && bound as usize <= b.rows(),
-        "stream_row out of bounds: C row of {} for B {:?}, {} columns for {} values, column {}",
-        c_row.len(),
+        (lands || j == 0)
+            && cols.len() == vals.len()
+            && bound.is_some_and(|m| m as usize <= b.rows()),
+        "stream_rows out of bounds: C block of {} for B {:?}, {} columns for {} values, slots {span:?}, column {}",
+        c.len(),
         b.shape(),
         cols.len(),
         vals.len(),
-        bound.wrapping_sub(1),
+        bound.unwrap_or(0).wrapping_sub(1),
     );
-    let (data, ld) = (b.as_slice(), b.cols());
+    if j == 0 || matches!(rows, Rows::Fixed { width: 0, .. }) {
+        return;
+    }
+    let (cols, vals) = (&cols[span.clone()], &vals[span]);
+    let data = b.as_slice();
     match tile.lanes.resolve::<T>() {
         // `resolve` never returns `Auto`; the arm only completes the match.
-        Lanes::Scalar | Lanes::Auto => {
+        Lanes::Scalar | Lanes::Auto => for_each_row(rows, cols, vals, |o, cols, vals| {
+            let c_row = &mut c[o * j..][..j];
             for (&col, &a) in cols.iter().zip(vals) {
                 if col == ELL_PAD {
                     continue;
@@ -213,45 +313,91 @@ pub fn stream_row<T: Scalar>(
                     *cv += a * bv;
                 }
             }
-        }
+        }),
         Lanes::X4 => {
-            // SAFETY: every non-padding column was checked above to be a
-            // row of `B`, and `c_row.len() == ld`.
-            unsafe { dispatch::<T, 4>(tile, c_row, cols, vals, data, ld) }
+            // SAFETY: every non-padding column of the range was checked
+            // above to be a row of `B`, every row's slots are a sub-slice
+            // of the checked range (`for_each_row` slices them safely),
+            // and `c` is whole rows of `j` elements.
+            unsafe { dispatch::<T, 4>(tile, c, rows, cols, vals, data, j) }
         }
         Lanes::X8 => {
             // SAFETY: as for `X4`.
-            unsafe { dispatch::<T, 8>(tile, c_row, cols, vals, data, ld) }
+            unsafe { dispatch::<T, 8>(tile, c, rows, cols, vals, data, j) }
         }
     }
 }
 
-/// Enter [`row_body`] through the AVX2 clone when the CPU has it.
+/// Call `f(o, row_cols, row_vals)` for every row of the range in order,
+/// `o` being the row of the `C` block it lands in. `cols`/`vals` are the
+/// range's checked slots (a CSR chunk's start at index 0); every row is
+/// cut from them with checked slicing, so no row reaches outside them.
+#[inline(always)]
+fn for_each_row<T>(
+    rows: Rows<'_>,
+    cols: &[Index],
+    vals: &[T],
+    mut f: impl FnMut(usize, &[Index], &[T]),
+) {
+    match rows {
+        Rows::Csr(ptr) => {
+            let lo = ptr.first().copied().unwrap_or(0);
+            for (o, w) in ptr.windows(2).enumerate() {
+                // A decreasing `row_ptr` wraps below `lo` and fails the
+                // slice check instead of reading outside the range.
+                let (s, e) = (w[0].wrapping_sub(lo), w[1].wrapping_sub(lo));
+                f(o, &cols[s..e], &vals[s..e]);
+            }
+        }
+        Rows::Fixed {
+            width,
+            row_ind,
+            base,
+        } => {
+            let slots = cols.chunks_exact(width).zip(vals.chunks_exact(width));
+            match row_ind {
+                None => {
+                    for (o, (c, v)) in slots.enumerate() {
+                        f(o, c, v);
+                    }
+                }
+                Some(ri) => {
+                    for (&r, (c, v)) in ri.iter().zip(slots) {
+                        f(r as usize - base, c, v);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Enter [`range_body`] through the AVX2 clone when the CPU has it.
 ///
 /// # Safety
 ///
-/// Every non-`ELL_PAD` entry of `cols` is `< b.len() / ld`, and
-/// `c_row.len() <= ld`.
+/// Every non-`ELL_PAD` entry of `cols` is `< b.len() / j`, and `c` is
+/// whole rows of `j` elements that every output row of `rows` falls in.
 #[inline(always)]
 unsafe fn dispatch<T: Scalar, const L: usize>(
     tile: &TileParams,
-    c_row: &mut [T],
+    c: &mut [T],
+    rows: Rows<'_>,
     cols: &[Index],
     vals: &[T],
     b: &[T],
-    ld: usize,
+    j: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
-        // SAFETY: AVX2 verified at runtime; the column contract is
+        // SAFETY: AVX2 verified at runtime; the range contract is
         // forwarded from the caller.
-        return unsafe { row_body_avx2::<T, L>(tile, c_row, cols, vals, b, ld) };
+        return unsafe { range_body_avx2::<T, L>(tile, c, rows, cols, vals, b, j) };
     }
     // SAFETY: forwarded caller contract.
-    unsafe { row_body::<T, L>(tile, c_row, cols, vals, b, ld) }
+    unsafe { range_body::<T, L>(tile, c, rows, cols, vals, b, j) }
 }
 
-/// [`row_body`] entered with AVX2 codegen: LLVM re-lowers the lane
+/// [`range_body`] entered with AVX2 codegen: LLVM re-lowers the lane
 /// arrays onto 256-bit registers. No FMA is enabled — fused
 /// multiply-adds would change result bits vs. the scalar arm.
 ///
@@ -261,16 +407,92 @@ unsafe fn dispatch<T: Scalar, const L: usize>(
 /// contract.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn row_body_avx2<T: Scalar, const L: usize>(
+unsafe fn range_body_avx2<T: Scalar, const L: usize>(
     tile: &TileParams,
-    c_row: &mut [T],
+    c: &mut [T],
+    rows: Rows<'_>,
     cols: &[Index],
     vals: &[T],
     b: &[T],
-    ld: usize,
+    j: usize,
 ) {
     // SAFETY: forwarded caller contract.
-    unsafe { row_body::<T, L>(tile, c_row, cols, vals, b, ld) }
+    unsafe { range_body::<T, L>(tile, c, rows, cols, vals, b, j) }
+}
+
+/// The range's row loop: one branch on `j` to a [`const_rows`] instance
+/// when a single sweep covers the row, else [`row_body`] per row.
+///
+/// # Safety
+///
+/// [`dispatch`]'s contract.
+#[inline(always)]
+unsafe fn range_body<T: Scalar, const L: usize>(
+    tile: &TileParams,
+    c: &mut [T],
+    rows: Rows<'_>,
+    cols: &[Index],
+    vals: &[T],
+    b: &[T],
+    j: usize,
+) {
+    // Exactly `row_body`'s one-j-tile, one-sweep case.
+    if j <= tile.j_tile.max(1) && j <= L * GROUPS {
+        // SAFETY: forwarded caller contract; each arm's `J` is `j`.
+        unsafe {
+            match j {
+                1 => return const_rows::<T, L, 1>(c, rows, cols, vals, b),
+                2 => return const_rows::<T, L, 2>(c, rows, cols, vals, b),
+                4 => return const_rows::<T, L, 4>(c, rows, cols, vals, b),
+                8 => return const_rows::<T, L, 8>(c, rows, cols, vals, b),
+                16 => return const_rows::<T, L, 16>(c, rows, cols, vals, b),
+                32 => return const_rows::<T, L, 32>(c, rows, cols, vals, b),
+                64 => return const_rows::<T, L, 64>(c, rows, cols, vals, b),
+                _ => {}
+            }
+        }
+    }
+    // `inline(always)` keeps the row work inside the AVX2 clone: a
+    // closure is not a `#[target_feature]` function of its own.
+    for_each_row(
+        rows,
+        cols,
+        vals,
+        #[inline(always)]
+        |o, cols, vals| {
+            // SAFETY: forwarded; the checked slice is one row of `j`
+            // elements, and `ld == j`.
+            unsafe { row_body::<T, L>(tile, &mut c[o * j..][..j], cols, vals, b, j) }
+        },
+    );
+}
+
+/// The row loop at a compile-time dense width: one sweep per row, with
+/// the strip cascade and the row stride `J` folded to constants.
+///
+/// # Safety
+///
+/// [`dispatch`]'s contract with `j == J`.
+#[inline(always)]
+unsafe fn const_rows<T: Scalar, const L: usize, const J: usize>(
+    c: &mut [T],
+    rows: Rows<'_>,
+    cols: &[Index],
+    vals: &[T],
+    b: &[T],
+) {
+    // `inline(always)`: as in `range_body`.
+    for_each_row(
+        rows,
+        cols,
+        vals,
+        #[inline(always)]
+        |o, cols, vals| {
+            // SAFETY: forwarded; the checked slice is one row of `J`
+            // elements, and `ld == J`.
+            unsafe { sweep::<T, L>(&mut c[o * J..][..J], 0, cols, vals, b, J) }
+        },
+    );
 }
 
 /// The j-tile loop: a tile at most one full strip wide streams the
@@ -278,7 +500,8 @@ unsafe fn row_body_avx2<T: Scalar, const L: usize>(
 ///
 /// # Safety
 ///
-/// [`dispatch`]'s contract.
+/// Every non-`ELL_PAD` entry of `cols` is `< b.len() / ld`, and
+/// `c_row.len() <= ld`.
 #[inline(always)]
 unsafe fn row_body<T: Scalar, const L: usize>(
     tile: &TileParams,
@@ -314,7 +537,7 @@ unsafe fn row_body<T: Scalar, const L: usize>(
 ///
 /// # Safety
 ///
-/// [`dispatch`]'s column contract, and `offset + acc.len() <= ld`.
+/// [`row_body`]'s column contract, and `offset + acc.len() <= ld`.
 #[inline(always)]
 unsafe fn sweep<T: Scalar, const L: usize>(
     acc: &mut [T],
@@ -370,7 +593,7 @@ unsafe fn sweep<T: Scalar, const L: usize>(
 ///
 /// # Safety
 ///
-/// [`dispatch`]'s column contract, `acc.len() >= G·L` and
+/// [`row_body`]'s column contract, `acc.len() >= G·L` and
 /// `offset + G·L <= ld`.
 #[inline(always)]
 unsafe fn strip<T: Scalar, const L: usize, const G: usize>(
@@ -408,72 +631,6 @@ unsafe fn strip<T: Scalar, const L: usize, const G: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// `c[s] += Σ_k vals[k] · B[cols[k]][s]` in ascending `k`, one
-    /// element at a time — the contract order.
-    fn reference<T: Scalar>(c: &mut [T], cols: &[Index], vals: &[T], b: &DenseMatrix<T>) {
-        for (s, cv) in c.iter_mut().enumerate() {
-            for (&col, &a) in cols.iter().zip(vals) {
-                if col != ELL_PAD {
-                    *cv += a * b.get(col as usize, s);
-                }
-            }
-        }
-    }
-
-    /// Every width 1..=136 (all cascade branches and remainders for 4 and
-    /// 8 lanes), j-tiles that put strips at non-zero offsets, every lane
-    /// mode and k-block depths 1, 3 and 32, on a 40-slot row with padding
-    /// mid-row and trailing: bitwise equal to the reference.
-    fn sweep_widths<T: Scalar>() {
-        let k = 23;
-        let mut cols: Vec<Index> = (0..40).map(|i| (i * 7 % k) as Index).collect();
-        for p in [3, 4, 17, 36, 37, 38, 39] {
-            cols[p] = ELL_PAD;
-        }
-        let vals: Vec<T> = (0..40)
-            .map(|i| T::from_f64((i as f64 - 19.5) * 0.37))
-            .collect();
-        for j in 1..=136 {
-            let b = DenseMatrix::from_fn(k, j, |r, s| {
-                T::from_f64(((r * 31 + s * 7) % 29) as f64 / 7.0 - 2.0)
-            });
-            let init: Vec<T> = (0..j).map(|s| T::from_f64(s as f64 * 0.125)).collect();
-            let mut want = init.clone();
-            reference(&mut want, &cols, &vals, &b);
-            let want: Vec<f64> = want.iter().map(|v| v.to_f64()).collect();
-            for j_tile in [usize::MAX, 40, 7] {
-                for k_block in [1, 3, 32] {
-                    for lanes in [Lanes::Scalar, Lanes::X4, Lanes::X8] {
-                        let tile = TileParams {
-                            j_tile,
-                            k_block,
-                            lanes,
-                            chunk_slots: 1,
-                        };
-                        let mut got = init.clone();
-                        stream_row(&tile, &mut got, &cols, &vals, &b);
-                        let got: Vec<f64> = got.iter().map(|v| v.to_f64()).collect();
-                        // f32 -> f64 widening is exact, so equal images
-                        // mean equal bits.
-                        assert!(
-                            got.iter()
-                                .zip(&want)
-                                .all(|(g, w)| g.to_bits() == w.to_bits()),
-                            "{} j={j} j_tile={j_tile} k_block={k_block} {lanes:?}",
-                            std::any::type_name::<T>()
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn all_lane_modes_match_reference_order_bitwise() {
-        sweep_widths::<f32>();
-        sweep_widths::<f64>();
-    }
 
     #[test]
     fn default_tile_params_mirror_the_pre_search_engine() {

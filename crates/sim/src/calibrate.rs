@@ -116,11 +116,15 @@ fn axpy_lanes_dispatch<const LANES: usize>(acc: &mut [f32], a: f32, b: &[f32]) {
 /// typical `k_block` chunk).
 const BLOCK_K: usize = 8;
 
-/// Streamed accumulate — the microkernel's real shape
-/// (`lf_kernels::simd::stream_row`): load a `LANES × GROUPS` register
-/// strip from `acc` once, stream `BLOCK_K` column-indexed rows of one
-/// row-major `B` buffer (row stride `ld`) through it, skipping padding
-/// slots, store once. This is the structure whose per-element cost the
+/// Streamed accumulate — the microkernel's real shape per sparse row
+/// (`lf_kernels::simd::stream_rows`, which runs this sweep for every row
+/// of a range): load a `LANES × GROUPS` register strip from `acc` once,
+/// stream `BLOCK_K` column-indexed rows of one row-major `B` buffer (row
+/// stride `ld`) through it, skipping padding slots, store once. The
+/// production loop pays its dispatch once per range and, at power-of-two
+/// widths up to one full strip, folds `ld` to a constant; this timing
+/// keeps a run-time stride, so it prices the slot loop, not that
+/// per-row saving. This is the structure whose per-element cost the
 /// tile search compares across lane widths; a plain k=1 axpy cannot see
 /// the register-blocking advantage of wider strips (the slot loop
 /// amortizes the acc load/store and loop overhead).

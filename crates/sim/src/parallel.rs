@@ -11,6 +11,9 @@
 //!   worker first builds a private mutable state (scratch buffers,
 //!   accumulators) that is reused across all chunks it processes, which
 //!   is how kernels keep their inner loops allocation-free;
+//! * [`parallel_ranges`] — run `body(range)` over the same chunks,
+//!   each handed over whole, for kernels whose inner loop takes a run
+//!   of rows;
 //! * [`parallel_map`] / [`parallel_map_init`] — collect `f(i)` in index
 //!   order through disjoint in-place writes (no per-slot locks);
 //! * [`DisjointSlice`] — a shared view of a `&mut [T]` that hands out
@@ -28,6 +31,7 @@ use crate::cancel;
 use crate::pool;
 use crate::shadow::ShadowRegion;
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default worker count: one per available core, at least 1.
@@ -69,6 +73,32 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) + Sync,
 {
+    chunked(n, workers, init, |state, range| {
+        for i in range {
+            body(state, i);
+        }
+    });
+}
+
+/// Run `body(range)` over consecutive, disjoint ranges that cover
+/// `0..n`: the chunks [`parallel_for`] would claim, each handed over
+/// whole, so a kernel can enter its inner loop once per chunk instead
+/// of once per index. Cancellation as for [`parallel_for_init`].
+pub fn parallel_ranges<F>(n: usize, workers: usize, body: F)
+where
+    F: Fn(Range<usize>) + Sync,
+{
+    chunked(n, workers, || (), |(), range| body(range));
+}
+
+/// The self-scheduling core of [`parallel_for_init`] and
+/// [`parallel_ranges`]: executors claim `chunk_size` ranges off one
+/// atomic counter and run `body` on each.
+fn chunked<S, I, F>(n: usize, workers: usize, init: I, body: F)
+where
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, Range<usize>) + Sync,
+{
     if n == 0 {
         return;
     }
@@ -80,11 +110,11 @@ where
     if workers == 1 {
         let check_every = chunk_size(n, 1);
         let mut state = init();
-        for i in 0..n {
-            if i % check_every == 0 && is_cancelled() {
+        for start in (0..n).step_by(check_every) {
+            if is_cancelled() {
                 return;
             }
-            body(&mut state, i);
+            body(&mut state, start..n.min(start + check_every));
         }
         return;
     }
@@ -102,10 +132,7 @@ where
                 break;
             }
             let state = state.get_or_insert_with(&init);
-            let end = (start + chunk).min(n);
-            for i in start..end {
-                body(state, i);
-            }
+            body(state, start..n.min(start + chunk));
         }
     };
     pool::global().broadcast(workers - 1, &executor);

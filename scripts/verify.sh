@@ -36,7 +36,11 @@
 #             of whole v4 records through PlanStore::load: no panic,
 #             every accepted plan re-fingerprints to its key), and the
 #             incremental-vs-rebuild mutation suite (migrated plans
-#             bitwise-equal to fresh composes), all in release mode;
+#             bitwise-equal to fresh composes), and the microkernel's
+#             bitwise suites (the range entry's every-width sweep, the
+#             CELL-vs-reference sweep and the engine edge cases), whose
+#             compile-time-width row loops are release codegen that
+#             tier-1 only runs in debug, all in release mode;
 #   --check   appends the verification tier (lf-check): the model
 #             checker's self-tests, the lint rule fixtures and the
 #             seeded-bug rediscovery suite (lock-order inversion in
@@ -112,6 +116,8 @@ fi
 if [[ "$RUN_STRESS" == "1" ]]; then
   echo "==> differential fuzz (LF_FUZZ_ITERS=2000)"
   LF_FUZZ_ITERS=2000 cargo test --release -p lf-kernels --test fuzz_differential -q
+  echo "==> microkernel bitwise suites: range entry, CELL vs reference, edge cases (release)"
+  cargo test --release -p lf-kernels --test row_ranges --test cell_bitwise --test engine_edge_cases -q
   echo "==> serve stress incl. coalesced storm (LF_STRESS_THREADS=16 LF_STRESS_ITERS=120)"
   LF_STRESS_THREADS=16 LF_STRESS_ITERS=120 \
     cargo test --release -p lf-serve --test stress -q
