@@ -11,7 +11,10 @@
 //!
 //! All engines are measured **in-process on the same operand**, so the
 //! ratios are free of the cross-run variance this host shows on absolute
-//! times.
+//! times. The arms a ratio compares are timed interleaved — every round
+//! runs each arm once, in turn — and each arm reports its median round,
+//! so a slow spell on a shared host lands on all of them alike instead of
+//! on whichever arm it happened to overlap.
 //!
 //! Writes a machine-readable artifact:
 //!
@@ -100,23 +103,29 @@ struct Artifact {
     narrow: Vec<NarrowPass>,
 }
 
-/// Best-of-`reps` wall time in milliseconds.
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
+/// Median wall time in milliseconds of each arm over `reps` rounds, a
+/// round running every arm once, in order.
+fn median_ms<const N: usize>(reps: usize, arms: [&dyn Fn(); N]) -> [f64; N] {
+    let mut samples: [Vec<f64>; N] = std::array::from_fn(|_| Vec::with_capacity(reps));
     for _ in 0..reps {
-        let t0 = Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        for (arm, s) in arms.iter().zip(&mut samples) {
+            let t0 = Instant::now();
+            arm();
+            s.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
     }
-    best
+    samples.map(|mut s| {
+        s.sort_by(f64::total_cmp);
+        s[s.len() / 2]
+    })
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let (n, nnz, j, reps) = if quick {
-        (1024, 60_000, 64, 3)
+        (1024, 60_000, 64, 7)
     } else {
-        (4096, 200_000, 64, 5)
+        (4096, 200_000, 64, 9)
     };
 
     let mut rng = Pcg32::seed_from_u64(11);
@@ -160,9 +169,12 @@ fn main() {
     let mut kernel_times = Vec::new();
     let mut t = Table::new(&["kernel", "time_ms"]);
     for (name, k) in &kernels {
-        let ms = time_ms(reps, || {
-            k.run(&b).unwrap();
-        });
+        let [ms] = median_ms(
+            reps,
+            [&|| {
+                k.run(&b).unwrap();
+            }],
+        );
         t.row(&[name.to_string(), fmt(ms)]);
         kernel_times.push(KernelTime {
             name: name.to_string(),
@@ -184,12 +196,13 @@ fn main() {
     let mut speedups = Vec::new();
     let mut ct = Table::new(&["cell", "engine_ms", "forced_atomic_ms", "speedup"]);
     for (p, k) in &cell_kernels {
-        let engine_ms = time_ms(reps, || {
+        let engine = || {
             k.run(&b).unwrap();
-        });
-        let forced_atomic_ms = time_ms(reps, || {
+        };
+        let forced_atomic = || {
             k.run_forced_atomic(&b).unwrap();
-        });
+        };
+        let [engine_ms, forced_atomic_ms] = median_ms(reps, [&engine, &forced_atomic]);
         let speedup = forced_atomic_ms / engine_ms;
         ct.row(&[
             format!("p={p}"),
@@ -268,9 +281,12 @@ fn main() {
     let mut simd_speedups = Vec::new();
     let mut st = Table::new(&["engine", "scalar_ms", "simd_ms", "tuned_ms", "speedup"]);
     for (name, run) in &simd_cases {
-        let scalar_ms = time_ms(reps, || run(&b, scalar_tile));
-        let simd_ms = time_ms(reps, || run(&b, default_tile));
-        let tuned_ms = time_ms(reps, || run(&b, tuned_tile));
+        let [scalar_ms, simd_ms, tuned_ms] = median_ms(
+            reps,
+            [&|| run(&b, scalar_tile), &|| run(&b, default_tile), &|| {
+                run(&b, tuned_tile)
+            }],
+        );
         let speedup = scalar_ms / simd_ms.min(tuned_ms);
         st.row(&[
             name.clone(),
@@ -299,7 +315,7 @@ fn main() {
         let mut nt = Table::new(&["engine", "time_ms"]);
         let mut narrow_times = Vec::new();
         for (name, run) in &simd_cases {
-            let ms = time_ms(reps, || run(&b_narrow, narrow_tile));
+            let [ms] = median_ms(reps, [&|| run(&b_narrow, narrow_tile)]);
             nt.row(&[name.clone(), fmt(ms)]);
             narrow_times.push(KernelTime {
                 name: name.clone(),

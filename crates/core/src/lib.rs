@@ -31,7 +31,8 @@ pub mod training;
 
 pub use codec::{decode_plan, encode_plan, CodecError};
 pub use composer::{
-    compose_cell_at, CompositionPlan, LiteForm, OverheadBreakdown, PlanKind, PreparedPlan,
+    build_cell_at, compose_cell_at, CompositionPlan, LiteForm, OverheadBreakdown, PlanKind,
+    PreparedPlan,
 };
 pub use error::{panic_detail, LfError, LfResult};
 pub use predictor::PartitionPredictor;

@@ -59,7 +59,8 @@ impl StageStats {
 /// Where preprocessing time *and memory traffic* went, stage by stage.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PreprocessProfile {
-    /// Feature extraction (both feature tables).
+    /// Feature extraction: both feature tables in the paper pipeline,
+    /// the format table alone in the serving planner.
     pub feature_extraction: StageStats,
     /// Format-selection inference.
     pub selection_inference: StageStats,

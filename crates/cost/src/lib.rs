@@ -25,5 +25,7 @@ pub mod update;
 pub use model::{bucket_cost, partition_cost, BucketSketch, PartitionSketch};
 pub use partition::{optimal_partitions, PARTITION_CANDIDATES};
 pub use search::{build_buckets, exhaustive_best_width, tune_width};
-pub use tile::{plan_tile, predict_tile_ns, search_tile, tile_cache_stats, TileFeatures};
+pub use tile::{
+    plan_tile, predict_stream_ns, search_tile, tile_cache_stats, RowStream, TileFeatures,
+};
 pub use update::{churn_cache_stats, churn_threshold, should_rebuild};

@@ -84,7 +84,45 @@ pub fn tile_cache_stats() -> (usize, usize) {
     (HITS.get(), MISSES.get())
 }
 
-/// Predicted nanoseconds for running one SpMM at dense width `j` under
+/// The row stream one SpMM walks, as the cost model counts it: `rows`
+/// rows, each a register-strip pass over its stored slots, `slots`
+/// stored slots in all, `nnz` of them real non-zeros. CSR stores no
+/// padding, so there `slots == nnz`; a CELL bucket row of width `W`
+/// is one row of `W` slots, and a row folded under a width cap is one
+/// row per fragment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowStream {
+    /// Rows walked (CELL: bucket rows `Σ I⁽¹⁾`).
+    pub rows: usize,
+    /// Stored slots streamed, padding included (CELL: `Σ I⁽¹⁾·W`).
+    pub slots: usize,
+    /// Real non-zeros among the slots.
+    pub nnz: usize,
+    /// Scalar element size in bytes (4 or 8).
+    pub elem_bytes: usize,
+}
+
+impl RowStream {
+    /// The stream of a CSR operand: every row once, no padding.
+    pub fn csr(rows: usize, nnz: usize, elem_bytes: usize) -> Self {
+        RowStream {
+            rows,
+            slots: nnz,
+            nnz,
+            elem_bytes,
+        }
+    }
+}
+
+impl TileFeatures {
+    /// The family's representative CSR stream: what the tile search
+    /// prices each candidate on.
+    fn stream(&self) -> RowStream {
+        RowStream::csr(self.rows(), self.nnz(), self.elem_bytes)
+    }
+}
+
+/// Predicted nanoseconds for walking `stream` at dense width `j` under
 /// `params`, on the [`calibration`]-measured machine.
 ///
 /// The model mirrors the kernels' streaming microkernel
@@ -93,31 +131,33 @@ pub fn tile_cache_stats() -> (usize, usize) {
 /// rows stream through it (its per-call dispatch is paid once per
 /// range, so the model charges none per row):
 ///
-/// * each accumulated element costs the lane mode's measured streamed
-///   accumulate rate, inflated by the measured spill factor when the
-///   chunk working set (`k_block × j_tile × elem` of `B` strips plus
-///   the accumulator tile) overflows the planned L1 budget, and for
-///   every j-tile after the first, which re-streams the row and
-///   re-reads `B` rows that have left L1 — so tiles stay as wide as
-///   the working set allows;
-/// * every (j-tile, register strip) pair re-streams the row's slots,
-///   paying a per-nnz charge (`2 × copy_ns`: column index plus
-///   coefficient) — the term that favors wider strips. A j-tile is
-///   covered by full `LANES × 8` strips, then a cascade of 4-, 2- and
-///   1-group strips and one remainder strip, which together count as
-///   one more strip: a j-tile narrower than a full strip costs one
-///   strip. The one-lane arm sweeps the whole row once per non-zero;
+/// * each accumulated element (one per real non-zero and output
+///   column) costs the lane mode's measured streamed accumulate rate,
+///   inflated by the measured spill factor when the chunk working set
+///   (`k_block × j_tile × elem` of `B` strips plus the accumulator
+///   tile) overflows the planned L1 budget, and for every j-tile after
+///   the first, which re-streams the row and re-reads `B` rows that
+///   have left L1 — so tiles stay as wide as the working set allows;
+/// * every (j-tile, register strip) pair re-streams the row's stored
+///   slots, padding included, paying a per-slot charge
+///   (`2 × copy_ns`: column index plus coefficient) — the term that
+///   favors wider strips. A j-tile is covered by full `LANES × 8`
+///   strips, then a cascade of 4-, 2- and 1-group strips and one
+///   remainder strip, which together count as one more strip: a j-tile
+///   narrower than a full strip costs one strip. The one-lane arm
+///   sweeps the whole row once per slot;
 /// * the accumulator strip is loaded and stored once per row when one
 ///   strip covers the j-tile, and once per `k_block` chunk otherwise —
 ///   L1-resident vector traffic priced at the lane rate, so shallow
-///   chunks on multi-strip tiles pay `~nnz / k_block × j` extra;
+///   chunks on multi-strip tiles pay `~slots / k_block × j` extra;
 /// * scheduling charges one pool dispatch per parallel region plus an
 ///   imbalance term that grows when `chunk_slots` leaves fewer chunks
 ///   than workers.
-pub fn predict_tile_ns(features: TileFeatures, j: usize, params: &TileParams) -> f64 {
+pub fn predict_stream_ns(stream: RowStream, j: usize, params: &TileParams) -> f64 {
     let cal = calibration();
-    let rows = features.rows() as f64;
-    let nnz = features.nnz() as f64;
+    let rows = stream.rows as f64;
+    let slots = stream.slots as f64;
+    let nnz = stream.nnz as f64;
     let j = j.max(1);
     let k_block = params.k_block_clamped();
     // Measured rate and full strip width in elements; the one-lane arm
@@ -129,7 +169,7 @@ pub fn predict_tile_ns(features: TileFeatures, j: usize, params: &TileParams) ->
     };
     let strips_per_tile = j_tile.div_ceil(strip);
     let passes = j.div_ceil(j_tile) * strips_per_tile;
-    let working_set = (k_block * j_tile + j_tile) * features.elem_bytes;
+    let working_set = (k_block * j_tile + j_tile) * stream.elem_bytes;
     let spill = if working_set > cal.l1_budget_bytes {
         cal.l1_spill_factor
     } else {
@@ -139,16 +179,16 @@ pub fn predict_tile_ns(features: TileFeatures, j: usize, params: &TileParams) ->
     // rows that have left L1 by then.
     let later_tiles = (j - j_tile) as f64 * cal.l1_spill_factor;
     let compute = nnz * lane_ns * (j_tile as f64 * spill + later_tiles);
-    let stream = passes as f64 * nnz * 2.0 * cal.copy_ns;
+    let stream_ns = passes as f64 * slots * 2.0 * cal.copy_ns;
     let acc_passes = if strips_per_tile > 1 {
-        (nnz / k_block as f64).max(rows)
+        (slots / k_block as f64).max(rows)
     } else {
         rows
     };
     let acc_traffic = acc_passes * j as f64 * 2.0 * lane_ns;
-    let work = compute + stream + acc_traffic;
+    let work = compute + stream_ns + acc_traffic;
     let workers = default_workers() as f64;
-    let chunks = (nnz * j as f64 / params.chunk_slots.max(1) as f64).max(1.0);
+    let chunks = (slots * j as f64 / params.chunk_slots.max(1) as f64).max(1.0);
     // Straggler model: the last chunk finishes alone, so the critical
     // path stretches by ~1/chunks of the work when chunks are scarce.
     let imbalance = work / workers * (1.0 / chunks);
@@ -181,7 +221,7 @@ pub fn search_tile(features: TileFeatures, j: usize) -> (TileParams, f64) {
                         lanes,
                         chunk_slots,
                     };
-                    let ns = predict_tile_ns(features, j, &params);
+                    let ns = predict_stream_ns(features.stream(), j, &params);
                     if best.is_none_or(|(_, b)| ns < b) {
                         best = Some((params, ns));
                     }

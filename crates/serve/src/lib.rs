@@ -14,9 +14,13 @@
 //! * [`Fingerprint`] — cheap matrix identity (dims + nnz +
 //!   row-pointer/column-index/value hashes, one O(nnz) pass);
 //! * [`Planner`] — a plan source: the trained [`LiteForm`] pipeline,
-//!   [`FixedCellPlanner`] for pinned configurations, or
-//!   [`ResilientPlanner`] wrapping either with a per-matrix circuit
-//!   breaker and graceful degradation to the baseline CSR format;
+//!   which serves a fixed-CSR verdict or CELL at one partition,
+//!   whichever a CPU cost prices cheaper (the partition predictor's
+//!   `p > 1` plans never paid on this engine);
+//!   [`FixedCellPlanner`] and [`PinnedLiteForm`] for pinned partition
+//!   counts; or [`ResilientPlanner`] wrapping any of them with a
+//!   per-matrix circuit breaker and graceful degradation to the
+//!   baseline CSR format;
 //! * [`ServeEngine`] — concurrent requests ([`MatrixHandle`] or CSR
 //!   payload, dense `B`) served through one path: a solo request is a
 //!   group of one, a coalesced batch a larger group, and each group

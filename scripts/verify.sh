@@ -20,7 +20,11 @@
 #             regressions, on the SIMD strip engine dropping below its
 #             1.2x geomean speedup floor over the one-lane scalar arm,
 #             and on incremental CELL maintenance failing to beat a
-#             full rebuild 3x at <= 1% churn;
+#             full rebuild 3x at <= 1% churn; then planner_regret, which
+#             times the serving planner's choice against the selector's
+#             plan, CSR and single-partition CELL on the GNN keys and a
+#             six-family population and prints geomean and worst
+#             regret (a report only: it has no gate);
 #   --stress  appends the heavy differential/concurrency tier: the
 #             structure-aware kernel fuzzer at raised iteration counts
 #             and the serving-engine stress suite at raised thread and
@@ -40,7 +44,9 @@
 #             bitwise suites (the range entry's every-width sweep, the
 #             CELL-vs-reference sweep and the engine edge cases), whose
 #             compile-time-width row loops are release codegen that
-#             tier-1 only runs in debug, all in release mode;
+#             tier-1 only runs in debug, and the serving-planner suite,
+#             whose GNN-decision test builds the full-size analogues and
+#             compiles only in release, all in release mode;
 #   --check   appends the verification tier (lf-check): the model
 #             checker's self-tests, the lint rule fixtures and the
 #             seeded-bug rediscovery suite (lock-order inversion in
@@ -111,6 +117,8 @@ if [[ "$RUN_BENCH" == "1" ]]; then
   cargo run --release -p lf-bench --bin bench_serve -- --quick
   echo "==> bench smoke (bench_update --quick)"
   cargo run --release -p lf-bench --bin bench_update -- --quick
+  echo "==> serving-planner regret report (planner_regret; reported, not gated)"
+  cargo run --release -p lf-bench --bin planner_regret
 fi
 
 if [[ "$RUN_STRESS" == "1" ]]; then
@@ -118,6 +126,8 @@ if [[ "$RUN_STRESS" == "1" ]]; then
   LF_FUZZ_ITERS=2000 cargo test --release -p lf-kernels --test fuzz_differential -q
   echo "==> microkernel bitwise suites: range entry, CELL vs reference, edge cases (release)"
   cargo test --release -p lf-kernels --test row_ranges --test cell_bitwise --test engine_edge_cases -q
+  echo "==> serving planner: CSR or single-partition CELL, GNN decisions (release)"
+  cargo test --release -p lf-serve --test serving_planner -q
   echo "==> serve stress incl. coalesced storm (LF_STRESS_THREADS=16 LF_STRESS_ITERS=120)"
   LF_STRESS_THREADS=16 LF_STRESS_ITERS=120 \
     cargo test --release -p lf-serve --test stress -q
